@@ -4,6 +4,12 @@ These operate directly on tf-idf vectors and therefore cannot leave the
 convex hull of the minority sample. Interpolated vectors are deliberately
 not re-normalized to unit L2. Neighbor search is a brute-force Euclidean
 scan, which is plenty at desk scale; ties are broken by lower index.
+
+Neighbor search runs on dense rows: many tf-idf vectors with disjoint
+supports lie exactly sqrt(2) apart, and a sparse distance formula rounds
+those ties differently, which would change which neighbor is picked.
+Interpolation needs no such care, so it runs on the sparse entries over the
+union of the two supports and gives bit-for-bit the dense result.
 """
 
 from __future__ import annotations
@@ -35,12 +41,31 @@ class NeighborIndex:
         return order[:k]
 
 
-def _as_dense(vectors: Sequence[SparseVector], n_features: int) -> np.ndarray:
-    return to_dense(vectors, n_features)
+def _interpolate(
+    minority: Sequence[SparseVector],
+    neighbors: Sequence[np.ndarray],
+    bases: Sequence[int],
+    rng: np.random.Generator,
+) -> list[SparseVector]:
+    """One synthetic vector a + u (b - a) per base point a.
 
-
-def _as_sparse(rows: np.ndarray) -> list[SparseVector]:
-    return [SparseVector.from_dense(row) for row in rows]
+    The partner b is drawn uniformly from the base point's neighbors, then u
+    uniformly from [0, 1). Coordinates that come out exactly zero are dropped.
+    """
+    entries = [dict(vec.entries) for vec in minority]
+    out = []
+    for i in bases:
+        nn = int(neighbors[i][int(rng.integers(len(neighbors[i])))])
+        u = rng.random()
+        a, b = entries[i], entries[nn]
+        point = []
+        for col in sorted(a.keys() | b.keys()):
+            x = a.get(col, 0.0)
+            value = x + u * (b.get(col, 0.0) - x)
+            if value != 0.0:
+                point.append((col, value))
+        out.append(SparseVector(tuple(point)))
+    return out
 
 
 def ros(
@@ -72,17 +97,10 @@ def smote(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k_eff = min(k, n - 1)
-    points = _as_dense(minority, n_features)
+    points = to_dense(minority, n_features)
     index = NeighborIndex(points)
     neighbors = [index.query(points[i], k_eff, exclude=i) for i in range(n)]
-
-    out = np.empty((count, n_features))
-    for j in range(count):
-        i = j % n
-        nn = int(neighbors[i][int(rng.integers(k_eff))])
-        u = rng.random()
-        out[j] = points[i] + u * (points[nn] - points[i])
-    return _as_sparse(out)
+    return _interpolate(minority, neighbors, [j % n for j in range(count)], rng)
 
 
 def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -126,8 +144,8 @@ def adasyn(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    min_points = _as_dense(minority, n_features)
-    maj_points = _as_dense(majority, n_features)
+    min_points = to_dense(minority, n_features)
+    maj_points = to_dense(majority, n_features)
     all_points = np.vstack([min_points, maj_points])
     k_all = min(k, len(all_points) - 1)
     full_index = NeighborIndex(all_points)
@@ -145,13 +163,4 @@ def adasyn(
     k_min = min(k, n - 1)
     min_index = NeighborIndex(min_points)
     neighbors = [min_index.query(min_points[i], k_min, exclude=i) for i in range(n)]
-
-    out = np.empty((count, n_features))
-    pos = 0
-    for i in range(n):
-        for _ in range(int(allot[i])):
-            nn = int(neighbors[i][int(rng.integers(k_min))])
-            u = rng.random()
-            out[pos] = min_points[i] + u * (min_points[nn] - min_points[i])
-            pos += 1
-    return _as_sparse(out)
+    return _interpolate(minority, neighbors, np.repeat(np.arange(n), allot), rng)

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,11 +112,7 @@ class TransitionModel:
         minority row with no recorded mass falls back to it as well so the
         walk can never stall.
         """
-        if idx == self.partition.stop_index:
-            return self.stop_row
-        if self.partition.is_maj_only(idx):
-            return self.marginal_row
-        row = self.min_rows.get(idx, _EMPTY_ROW)
+        row = self.stored_row(idx)
         return row if row.total > 0 else self.marginal_row
 
     def stored_row(self, idx: int) -> _Row:
@@ -225,16 +220,3 @@ def oversample(
         raise ValueError(f"count must be nonnegative, got {count}")
     return [sample_document(model, rng) for _ in range(count)]
 
-
-def dump_model(model: TransitionModel, path: str | Path) -> None:
-    """Debug dump: 'from to weight' rows plus a length histogram."""
-    part = model.partition
-    names = list(part.words) + ["<stop>"]
-    with open(path, "w", encoding="utf-8") as handle:
-        for i in range(part.stop_index + 1):
-            row = model.stored_row(i)
-            for j, w in zip(row.indices, row.weights):
-                handle.write(f"{names[i]} {names[int(j)]} {w:.12g}\n")
-        handle.write("lengths\n")
-        for length, count in sorted(Counter(model.lengths).items()):
-            handle.write(f"{length} {count}\n")

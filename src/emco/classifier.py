@@ -9,8 +9,7 @@ monotonically, which is the descent property recorded per epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +48,7 @@ def train(
             (i for vec in vectors for i, _ in vec.entries), default=-1
         )
 
-    x = to_csr(vectors, n_features).tocsr()
+    x = to_csr(vectors, n_features)
     n = x.shape[0]
     dim = n_features + 1  # augmented bias column
 
@@ -120,12 +119,3 @@ def predict(model: LinearModel, vector: SparseVector) -> tuple[int, float]:
     value = decision_value(model, vector)
     return (1 if value >= 0.0 else -1), value
 
-
-def dump_model(model: LinearModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            f"c={model.c} tol={model.tol} dim={len(model.weights)} "
-            f"bias={model.bias:.12g}\n"
-        )
-        for value in model.weights:
-            handle.write(f"{value:.12g}\n")

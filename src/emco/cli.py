@@ -47,9 +47,9 @@ def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
         "corpus_path": args.corpus,
         "output_dir": args.output_dir,
         "dataset": args.dataset,
-        "methods": tuple(args.methods) if args.methods else None,
-        "gammas": tuple(args.gammas) if args.gammas else None,
-        "sampling_ratios": tuple(args.ratios) if args.ratios else None,
+        "methods": args.methods,
+        "gammas": args.gammas,
+        "sampling_ratios": args.ratios,
         "repetitions": args.repetitions,
         "k_neighbors": args.k_neighbors,
         "c": args.c,
@@ -60,21 +60,14 @@ def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
         "stopwords_path": args.stopwords,
     }
     base.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("methods", "gammas", "sampling_ratios"):
-        if key in base:
-            base[key] = tuple(base[key])
     if "corpus_path" not in base:
         raise SystemExit("error: a corpus path is required (--corpus or config)")
-    return harness.ExperimentConfig(**base)
+    return harness.ExperimentConfig.from_dict(base)
 
 
 def _load_preprocessed(args: argparse.Namespace) -> list[corpus.Document]:
     raw = corpus.load_corpus_jsonl(args.corpus)
-    stopwords = (
-        corpus.load_stopwords(args.stopwords)
-        if getattr(args, "stopwords", None)
-        else corpus.default_stopwords()
-    )
+    stopwords = corpus.resolve_stopwords(args.stopwords)
     return corpus.preprocess(raw, stopwords=stopwords)
 
 

@@ -55,7 +55,8 @@ class OvrTask:
     minority_train_frequency: float
     evaluable: bool = True
 
-    def test_label(self, doc: Document) -> int:
+    def label(self, doc: Document) -> int:
+        """+1 for a document of the category, -1 otherwise."""
         return 1 if self.category in doc.labels else -1
 
 
@@ -104,6 +105,11 @@ def default_stopwords() -> frozenset[str]:
     """Bundled English stopword list."""
     text = resources.files("emco.data").joinpath("stopwords_en.txt").read_text("utf-8")
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
+
+
+def resolve_stopwords(path: str | Path | None) -> frozenset[str]:
+    """The list at ``path`` when one is given, else the bundled list."""
+    return load_stopwords(path) if path else default_stopwords()
 
 
 def default_stemmer() -> Stemmer:

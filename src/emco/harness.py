@@ -4,6 +4,14 @@ matrix, deterministic seed derivation, and result aggregation.
 Every unit of work derives its own random generator from a stable hash of
 (master seed, category, method, gamma, ratio, repetition), so results do not
 depend on execution order or the worker-pool size.
+
+Before any job runs, each category gets one ``_TaskState``, built serially:
+training labels by category membership, the minority and majority vector
+lists, the test labels and the estimated chain models. Jobs only read it.
+A job draws its synthetic vectors, trains one classifier and scores it. The
+unsampled ``none`` method does not depend on the ratio, so it runs once per
+(category, repetition) and its row is copied to every other ratio at which
+the category qualifies.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -56,13 +64,28 @@ class ExperimentConfig:
             raise ValueError("emco requires a nonempty gamma list")
 
     @staticmethod
-    def from_json(path: str | Path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+    def from_dict(obj: Mapping) -> "ExperimentConfig":
+        """Config from parsed JSON: list values become tuples; unknown keys
+        and a non-list where a list belongs are errors."""
+        obj = dict(obj)
+        known = {f.name for f in fields(ExperimentConfig)}
+        for key in obj:
+            if key not in known:
+                raise ValueError(f"unknown config key {key!r}")
         for key in ("methods", "gammas", "sampling_ratios"):
             if key in obj:
+                if not isinstance(obj[key], (list, tuple)):
+                    raise ValueError(
+                        f"config key {key!r} must be a list, "
+                        f"got {type(obj[key]).__name__}"
+                    )
                 obj[key] = tuple(obj[key])
         return ExperimentConfig(**obj)
+
+    @staticmethod
+    def from_json(path: str | Path) -> "ExperimentConfig":
+        with open(path, "r", encoding="utf-8") as handle:
+            return ExperimentConfig.from_dict(json.load(handle))
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -107,11 +130,7 @@ class _Prepared:
 
 def prepare(config: ExperimentConfig) -> _Prepared:
     raw = corpus.load_corpus_jsonl(config.corpus_path)
-    stopwords = (
-        corpus.load_stopwords(config.stopwords_path)
-        if config.stopwords_path
-        else corpus.default_stopwords()
-    )
+    stopwords = corpus.resolve_stopwords(config.stopwords_path)
     docs = corpus.preprocess(raw, stopwords=stopwords)
     train_docs = corpus.training_documents(docs)
     test_docs = corpus.test_documents(docs)
@@ -128,93 +147,94 @@ def prepare(config: ExperimentConfig) -> _Prepared:
     )
 
 
-def _evaluate(
-    prepared: _Prepared,
-    task: corpus.OvrTask,
-    train_x: list[vectorize.SparseVector],
-    train_y: list[int],
-    config: ExperimentConfig,
-    clf_seed: int,
-) -> metrics.ConfusionCounts:
-    model = classifier.train(
-        train_x,
-        train_y,
-        c=config.c,
-        tol=config.tol,
-        max_iters=config.max_iters,
-        n_features=prepared.tfidf.n_features,
-        seed=clf_seed,
+@dataclass
+class _TaskState:
+    """What every job of one category reads; built once, before any job runs.
+
+    A category's split does not depend on the sampling ratio (the ratio only
+    decides whether the category qualifies), so one state serves every ratio.
+    """
+
+    category: str
+    train_y: list[int]  # +1 for training documents labeled with the category
+    minority: list[vectorize.SparseVector]
+    majority: list[vectorize.SparseVector]
+    test_y: list[int]
+    chains: dict[float, chain.TransitionModel] = field(default_factory=dict)
+
+
+def _task_state(prepared: _Prepared, task: corpus.OvrTask) -> _TaskState:
+    train_y = [task.label(d) for d in prepared.train_docs]
+    return _TaskState(
+        category=task.category,
+        train_y=train_y,
+        minority=[v for y, v in zip(train_y, prepared.train_vectors) if y == 1],
+        majority=[v for y, v in zip(train_y, prepared.train_vectors) if y == -1],
+        test_y=[task.label(d) for d in prepared.test_docs],
     )
-    y_true = [task.test_label(d) for d in prepared.test_docs]
-    y_pred = [classifier.predict(model, v)[0] for v in prepared.test_vectors]
-    return metrics.ConfusionCounts.from_predictions(y_true, y_pred)
+
+
+def _synthetic(
+    prepared: _Prepared,
+    state: _TaskState,
+    method: str,
+    gamma: float | None,
+    count: int,
+    rng: np.random.Generator,
+    config: ExperimentConfig,
+) -> list[vectorize.SparseVector]:
+    """The synthetic minority vectors one method adds to the training set."""
+    n_features = prepared.tfidf.n_features
+    if method in ("smote", "adasyn") and len(state.minority) < 2:
+        method = "ros"  # too few minority points to interpolate
+    if method == "none":
+        return []
+    if method == "ros":
+        return baselines.ros(state.minority, count, rng)
+    if method == "smote":
+        return baselines.smote(
+            state.minority, count, config.k_neighbors, rng, n_features
+        )
+    if method == "adasyn":
+        return baselines.adasyn(
+            state.minority, state.majority, count, config.k_neighbors, rng,
+            n_features,
+        )
+    if method in ("mco", "emco"):
+        documents = chain.oversample(state.chains[float(gamma)], count, rng)
+        return [vectorize.transform_tokens(t, prepared.tfidf) for t in documents]
+    raise ValueError(f"unknown method {method!r}")  # pragma: no cover
 
 
 def _run_one(
     prepared: _Prepared,
-    task: corpus.OvrTask,
+    state: _TaskState,
     method: str,
     gamma: float | None,
     ratio: float,
     rep: int,
     config: ExperimentConfig,
-    chain_model: chain.TransitionModel | None,
 ) -> dict:
-    minority_idx = {d.id for d in task.train_minority}
-    train_y = [1 if d.id in minority_idx else -1 for d in prepared.train_docs]
-    train_x = list(prepared.train_vectors)
-    minority_vectors = [
-        v for d, v in zip(prepared.train_docs, prepared.train_vectors)
-        if d.id in minority_idx
-    ]
-    majority_vectors = [
-        v for d, v in zip(prepared.train_docs, prepared.train_vectors)
-        if d.id not in minority_idx
-    ]
-
-    s = synthetic_count(len(prepared.train_docs), len(task.train_minority), ratio)
+    s = synthetic_count(len(state.train_y), len(state.minority), ratio)
     seed_ratio = ratio if method != "none" else "na"
-    rng = np.random.default_rng(
-        derive_seed(config.master_seed, task.category, method, gamma, seed_ratio, rep)
+    seed_parts = (config.master_seed, state.category, method, gamma, seed_ratio, rep)
+    rng = np.random.default_rng(derive_seed(*seed_parts))
+    synthetic = _synthetic(prepared, state, method, gamma, s, rng, config)
+
+    model = classifier.train(
+        prepared.train_vectors + synthetic,
+        state.train_y + [1] * len(synthetic),
+        c=config.c,
+        tol=config.tol,
+        max_iters=config.max_iters,
+        n_features=prepared.tfidf.n_features,
+        seed=derive_seed(*seed_parts, "clf"),
     )
-    clf_seed = derive_seed(
-        config.master_seed, task.category, method, gamma, seed_ratio, rep, "clf"
-    )
-    n_features = prepared.tfidf.n_features
-
-    effective = method
-    if method in ("smote", "adasyn") and len(minority_vectors) < 2:
-        effective = "ros"  # too few minority points to interpolate
-
-    if method == "none":
-        pass
-    elif effective == "ros":
-        train_x += baselines.ros(minority_vectors, s, rng)
-        train_y += [1] * s
-    elif effective == "smote":
-        train_x += baselines.smote(
-            minority_vectors, s, config.k_neighbors, rng, n_features
-        )
-        train_y += [1] * s
-    elif effective == "adasyn":
-        train_x += baselines.adasyn(
-            minority_vectors, majority_vectors, s, config.k_neighbors, rng, n_features
-        )
-        train_y += [1] * s
-    elif method in ("mco", "emco"):
-        synthetic = chain.oversample(chain_model, s, rng)
-        train_x += [
-            vectorize.transform_tokens(tokens, prepared.tfidf)
-            for tokens in synthetic
-        ]
-        train_y += [1] * s
-    else:  # pragma: no cover
-        raise ValueError(f"unknown method {method!r}")
-
-    counts = _evaluate(prepared, task, train_x, train_y, config, clf_seed)
+    y_pred = [classifier.predict(model, v)[0] for v in prepared.test_vectors]
+    counts = metrics.ConfusionCounts.from_predictions(state.test_y, y_pred)
     row = {
         "dataset": config.dataset,
-        "category": task.category,
+        "category": state.category,
         "method": method,
         "gamma": "" if gamma is None else f"{gamma:g}",
         "sampling_ratio": f"{ratio:g}",
@@ -240,8 +260,10 @@ def _execute(
     jobs = []
     skipped = []
     frequencies: dict[float, dict[str, float]] = {}
-    chain_cache: dict[tuple[str, float], chain.TransitionModel] = {}
-    none_cache: dict[tuple[str, int], dict] = {}
+    states: dict[str, _TaskState] = {}
+    # an unsampled run ignores the ratio: it runs at the first ratio at which
+    # its category qualifies and its row is copied to the others
+    none_ratios: dict[str, list[float]] = {}
 
     for ratio in config.sampling_ratios:
         tasks = corpus.build_ovr_tasks(prepared.docs, ratio)
@@ -259,6 +281,9 @@ def _execute(
                      "reason": "test split lacks a class"}
                 )
                 continue
+            if task.category not in states:
+                states[task.category] = _task_state(prepared, task)
+            state = states[task.category]
             for method in config.methods:
                 gammas: tuple[float | None, ...]
                 if method == "emco":
@@ -267,47 +292,33 @@ def _execute(
                     gammas = (0.0,)
                 else:
                     gammas = (None,)
+                if method == "none":
+                    none_ratios.setdefault(task.category, []).append(ratio)
+                    if len(none_ratios[task.category]) > 1:
+                        continue
                 for gamma in gammas:
-                    if method in ("mco", "emco"):
-                        key = (task.category, float(gamma))
-                        if key not in chain_cache:
-                            chain_cache[key] = chain.estimate(
-                                [d.tokens for d in task.train_minority],
-                                [d.tokens for d in task.train_majority],
-                                float(gamma),
-                            )
+                    if method in ("mco", "emco") and float(gamma) not in state.chains:
+                        state.chains[float(gamma)] = chain.estimate(
+                            [d.tokens for d in task.train_minority],
+                            [d.tokens for d in task.train_majority],
+                            float(gamma),
+                        )
                     for rep in range(config.repetitions):
-                        jobs.append((ratio, task, method, gamma, rep))
+                        jobs.append((state, method, gamma, ratio, rep))
 
     def run_job(job):
-        ratio, task, method, gamma, rep = job
-        if method == "none":
-            # ratio does not affect an unsampled run; reuse per (category, rep)
-            cache_key = (task.category, rep)
-            if cache_key not in none_cache:
-                none_cache[cache_key] = _run_one(
-                    prepared, task, method, gamma, ratio, rep, config, None
-                )
-            row = dict(none_cache[cache_key])
-            row["sampling_ratio"] = f"{ratio:g}"
-            return row
-        model = (
-            chain_cache[(task.category, float(gamma))]
-            if method in ("mco", "emco")
-            else None
-        )
-        return _run_one(prepared, task, method, gamma, ratio, rep, config, model)
-
-    # precompute the "none" cache serially so threads never race on it
-    for job in jobs:
-        if job[2] == "none":
-            run_job(job)
+        return _run_one(prepared, *job, config)
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(run_job, jobs))
     else:
         rows = [run_job(job) for job in jobs]
+    rows += [
+        {**row, "sampling_ratio": f"{ratio:g}"}
+        for row in rows if row["method"] == "none"
+        for ratio in none_ratios[row["category"]][1:]
+    ]
 
     rows.sort(
         key=lambda r: (

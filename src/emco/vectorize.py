@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,12 +119,3 @@ def to_dense(vectors: Sequence[SparseVector], n_features: int) -> np.ndarray:
         np.zeros((0, n_features))
     )
 
-
-def dump_vectors(
-    path: str | Path, ids: Sequence[str], vectors: Sequence[SparseVector]
-) -> None:
-    """Write one line per document: id followed by index:value pairs."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc_id, vec in zip(ids, vectors):
-            pairs = " ".join(f"{i}:{v:.12g}" for i, v in vec.entries)
-            handle.write(f"{doc_id} {pairs}".rstrip() + "\n")

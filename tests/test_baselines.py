@@ -183,3 +183,101 @@ class TestAdasyn:
         with pytest.raises(ValueError):
             baselines.adasyn([sv(1.0)], [sv(0.0)], 5, k=5,
                              rng=np.random.default_rng(0), n_features=1)
+
+
+# Reference: smote and adasyn with the interpolation done on dense rows. The
+# arithmetic per coordinate is the same, so the sparse path must match exactly.
+def dense_smote(minority, count, k, rng, n_features):
+    n = len(minority)
+    k_eff = min(k, n - 1)
+    points = to_dense(minority, n_features)
+    index = baselines.NeighborIndex(points)
+    neighbors = [index.query(points[i], k_eff, exclude=i) for i in range(n)]
+    out = np.empty((count, n_features))
+    for j in range(count):
+        i = j % n
+        nn = int(neighbors[i][int(rng.integers(k_eff))])
+        u = rng.random()
+        out[j] = points[i] + u * (points[nn] - points[i])
+    return [SparseVector.from_dense(row) for row in out]
+
+
+def dense_adasyn(minority, majority, count, k, rng, n_features):
+    n = len(minority)
+    min_points = to_dense(minority, n_features)
+    all_points = np.vstack([min_points, to_dense(majority, n_features)])
+    k_all = min(k, len(all_points) - 1)
+    full_index = baselines.NeighborIndex(all_points)
+    ratios = np.empty(n)
+    for i in range(n):
+        nn = full_index.query(all_points[i], k_all, exclude=i)
+        ratios[i] = np.count_nonzero(nn >= n) / k_all
+    weights = ratios if ratios.sum() > 0 else np.ones(n)
+    allot = baselines.largest_remainder(weights, count)
+    k_min = min(k, n - 1)
+    min_index = baselines.NeighborIndex(min_points)
+    neighbors = [min_index.query(min_points[i], k_min, exclude=i) for i in range(n)]
+    out = np.empty((count, n_features))
+    pos = 0
+    for i in range(n):
+        for _ in range(int(allot[i])):
+            nn = int(neighbors[i][int(rng.integers(k_min))])
+            u = rng.random()
+            out[pos] = min_points[i] + u * (min_points[nn] - min_points[i])
+            pos += 1
+    return [SparseVector.from_dense(row) for row in out]
+
+
+class HalfStep:
+    """Generator stand-in whose uniform draws are all 0.5, so that opposite
+    coordinates cancel to exactly 0."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self):
+        return 0.5
+
+
+def random_sparse(rng, n, d):
+    vectors = []
+    for _ in range(n):
+        dense = np.where(rng.random(d) < 0.3, rng.normal(size=d), 0.0)
+        vectors.append(SparseVector.from_dense(dense))
+    vectors[0] = SparseVector(())  # an empty document vector
+    vectors[-1] = SparseVector(tuple((i, -v) for i, v in vectors[1].entries))
+    return vectors
+
+
+class TestSparseInterpolation:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("make_rng", [np.random.default_rng, HalfStep])
+    def test_smote_matches_dense_loop(self, seed, make_rng):
+        rng = np.random.default_rng(seed)
+        minority = random_sparse(rng, int(rng.integers(3, 9)), 10)
+        count = int(rng.integers(0, 40))
+        got = baselines.smote(minority, count, 3, make_rng(seed + 100), 10)
+        want = dense_smote(minority, count, 3, make_rng(seed + 100), 10)
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("make_rng", [np.random.default_rng, HalfStep])
+    def test_adasyn_matches_dense_loop(self, seed, make_rng):
+        rng = np.random.default_rng(seed)
+        minority = random_sparse(rng, int(rng.integers(3, 9)), 10)
+        majority = random_sparse(rng, int(rng.integers(3, 20)), 10)
+        count = int(rng.integers(0, 40))
+        got = baselines.adasyn(minority, majority, count, 4, make_rng(seed + 200), 10)
+        want = dense_adasyn(minority, majority, count, 4, make_rng(seed + 200), 10)
+        assert got == want
+
+    def test_cancelled_coordinates_are_dropped(self):
+        minority = [sv(1, -2, 10), sv(-1, 2, 10), SparseVector(())]
+        got = baselines.smote(minority, 6, 1, HalfStep(0), 3)
+        assert got == dense_smote(minority, 6, 1, HalfStep(0), 3)
+        # 0 and 1 are each other's nearest neighbor: both midpoints keep
+        # only the shared coordinate
+        assert got[0] == got[1] == SparseVector(((2, 10.0),))

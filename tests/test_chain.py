@@ -213,11 +213,3 @@ class TestSampling:
         assert draws[1] / 30000 == pytest.approx(2 / 3, abs=0.01)
         assert draws[2] / 30000 == pytest.approx(1 / 3, abs=0.01)
 
-
-def test_dump_model(tmp_path):
-    model = chain.estimate(MIN_3DOC, MAJ_3DOC, gamma=1.0)
-    path = tmp_path / "model.txt"
-    chain.dump_model(model, path)
-    text = path.read_text()
-    assert "b c 1\n" in text
-    assert "lengths\n2 2\n" in text

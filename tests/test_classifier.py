@@ -109,13 +109,3 @@ class TestPredict:
         wide = SparseVector(((0, 1.0), (7, 99.0)))
         assert classifier.decision_value(model, wide) == pytest.approx(1.0)
 
-
-def test_dump_model(tmp_path):
-    model = classifier.LinearModel(
-        weights=np.array([0.25, -0.5]), bias=0.125, c=1.0, tol=1e-3, objective=1.5
-    )
-    path = tmp_path / "model.txt"
-    classifier.dump_model(model, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("c=1.0 tol=0.001 dim=2 bias=0.125")
-    assert lines[1:] == ["0.25", "-0.5"]

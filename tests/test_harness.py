@@ -5,8 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emco import cli, harness
+from emco import classifier, cli, harness
 from emco.data import mini_corpus_path
+
+
+def record_training(monkeypatch):
+    """Route classifier.train through a recorder; returns the list of
+    (vectors, labels) it was called with."""
+    calls = []
+    real = classifier.train
+
+    def train(vectors, labels, **kwargs):
+        calls.append((list(vectors), list(labels)))
+        return real(vectors, labels, **kwargs)
+
+    monkeypatch.setattr(classifier, "train", train)
+    return calls
 
 
 class TestConfig:
@@ -184,6 +198,53 @@ class TestRun:
             assert values["n_categories"] >= 1
 
 
+class TestTaskState:
+    def test_shared_id_is_labeled_by_category(self, tmp_path, monkeypatch):
+        c_text = "wheat grain export wheat grain export"
+        x_text = "bank market price bank market price"
+        docs = [{"id": "dup", "text": c_text, "labels": ["c"], "split": "train"},
+                {"id": "dup", "text": x_text, "labels": ["x"], "split": "train"},
+                {"id": "c1", "text": c_text, "labels": ["c"], "split": "train"}]
+        docs += [{"id": f"x{i}", "text": x_text, "labels": ["x"], "split": "train"}
+                 for i in range(17)]
+        docs += [{"id": "t0", "text": c_text, "labels": ["c"], "split": "test"},
+                 {"id": "t1", "text": x_text, "labels": ["x"], "split": "test"}]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        config = harness.ExperimentConfig(
+            corpus_path=str(path), methods=("none", "ros"),
+            sampling_ratios=(0.2,), repetitions=1,
+        )
+        prepared = harness.prepare(config)
+        expected = [1 if "c" in d.labels else -1 for d in prepared.train_docs]
+        assert expected.count(1) == 2
+        c_vectors = {v for y, v in zip(expected, prepared.train_vectors) if y == 1}
+
+        calls = record_training(monkeypatch)
+        rows, _, _ = harness._execute(config, prepared)
+        assert {r["category"] for r in rows} == {"c"}
+        assert len(calls) == 2
+        n = len(expected)
+        for vectors, labels in calls:
+            assert labels[:n] == expected
+            assert set(vectors[n:]) <= c_vectors  # ros copies minority rows only
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_none_trains_once_per_category_and_rep(self, monkeypatch, workers):
+        config = harness.ExperimentConfig(
+            corpus_path=str(mini_corpus_path()),
+            methods=("none",),
+            sampling_ratios=(0.1, 0.2),
+            repetitions=2,
+            workers=workers,
+        )
+        calls = record_training(monkeypatch)
+        rows, _, _ = harness._execute(config)
+        pairs = {(r["category"], r["repetition"]) for r in rows}
+        assert len(calls) == len(pairs)
+        assert len(rows) > len(pairs)  # some rows are copies at a second ratio
+
+
 class TestDeterminism:
     def test_byte_identical_across_worker_counts(self, tmp_path):
         outputs = []
@@ -275,6 +336,22 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["repetitions"] == 1
         assert manifest["config"]["methods"] == ["none"]
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"repetitons": 2}, "error: unknown config key 'repetitons'"),
+        ({"methods": "ros"}, "error: config key 'methods' must be a list, got str"),
+    ])
+    def test_bad_config_is_one_line_error(self, tmp_path, capsys, extra, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"corpus_path": str(mini_corpus_path()), **extra}
+        ))
+        rc = cli.main([
+            "run", "--config", str(config_path),
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == message + "\n"
 
     def test_missing_corpus_is_clean_error(self, tmp_path, capsys):
         rc = cli.main([

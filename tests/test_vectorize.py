@@ -103,11 +103,3 @@ class TestSparseVector:
         assert mat.shape == (2, 3)
         assert mat[0, 0] == 1.0 and mat[1].nnz == 0
 
-
-def test_dump_vectors(tmp_path):
-    vecs = [vectorize.SparseVector(((0, 0.5), (2, 0.25))), vectorize.SparseVector(())]
-    path = tmp_path / "vecs.txt"
-    vectorize.dump_vectors(path, ["a", "b"], vecs)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "a 0:0.5 2:0.25"
-    assert lines[1] == "b"
