@@ -144,9 +144,8 @@ def adasyn(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    min_points = to_dense(minority, n_features)
-    maj_points = to_dense(majority, n_features)
-    all_points = np.vstack([min_points, maj_points])
+    all_points = to_dense([*minority, *majority], n_features)
+    min_points = all_points[:n]
     k_all = min(k, len(all_points) - 1)
     full_index = NeighborIndex(all_points)
 

@@ -148,6 +148,8 @@ def estimate(
     """Estimate the transition weight table for one oversampling task."""
     if not minority_docs:
         raise ValueError("minority document set is empty")
+    if not all(minority_docs):
+        raise ValueError("minority documents must be nonempty")
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
 

@@ -1,10 +1,12 @@
 """L2-regularized hinge-loss linear classifier (dual coordinate descent).
 
-Objective: (1/2)||w||^2 + c * sum_i max(0, 1 - y_i (w.x_i + b)). The bias is
-handled as an augmented constant feature of value 1 and is therefore
-regularized along with the weights. The solver is the standard dual
-coordinate descent for the L1-loss SVM dual; its dual objective decreases
-monotonically, which is the descent property recorded per epoch.
+Objective: (1/2)(||w||^2 + b^2) + c * sum_i max(0, 1 - y_i (w.x_i + b)). The
+bias acts as a constant feature of value 1 and is therefore regularized
+along with the weights. The solver is the standard dual coordinate descent
+for the L1-loss SVM dual; its dual objective decreases monotonically, which
+is the descent property recorded per epoch. The epoch loop runs on plain
+Python floats over each vector's sparse entries: rows have a few dozen
+nonzeros, too few for numpy calls to pay for their overhead.
 """
 
 from __future__ import annotations
@@ -38,65 +40,60 @@ def train(
     seed: int = 0,
 ) -> LinearModel:
     """Fit the classifier; labels must be -1/+1 with both classes present."""
-    labels = np.asarray(labels, dtype=float)
-    if not (np.any(labels == 1) and np.any(labels == -1)):
+    y = [float(label) for label in labels]
+    if not (1.0 in y and -1.0 in y):
         raise ValueError("training set must contain both classes")
-    if len(vectors) != len(labels):
+    if len(vectors) != len(y):
         raise ValueError("vectors and labels length mismatch")
     if n_features is None:
         n_features = 1 + max(
             (i for vec in vectors for i, _ in vec.entries), default=-1
         )
 
-    x = to_csr(vectors, n_features)
-    n = x.shape[0]
-    dim = n_features + 1  # augmented bias column
-
-    qii = np.asarray(x.multiply(x).sum(axis=1)).ravel() + 1.0  # + bias feature
-    w = np.zeros(dim)
-    alpha = np.zeros(n)
+    rows = [vec.entries for vec in vectors]
+    n = len(rows)
+    qii = [sum(v * v for _, v in row) + 1.0 for row in rows]  # + bias feature
+    w = [0.0] * n_features
+    bias = 0.0
+    alpha = [0.0] * n
     rng = np.random.default_rng(seed)
-
-    indices = x.indices
-    indptr = x.indptr
-    data = x.data
 
     history = []
     epochs = 0
     for epoch in range(max_iters):
         epochs = epoch + 1
         max_violation = 0.0
-        for i in rng.permutation(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo:hi]
-            vals = data[lo:hi]
-            margin = float(w[cols] @ vals) + w[-1]
-            g = labels[i] * margin - 1.0
-            if alpha[i] == 0.0:
+        for i in rng.permutation(n).tolist():
+            row = rows[i]
+            a = alpha[i]
+            g = y[i] * (sum(w[col] * v for col, v in row) + bias) - 1.0
+            if a == 0.0:
                 pg = min(g, 0.0)
-            elif alpha[i] == c:
+            elif a == c:
                 pg = max(g, 0.0)
             else:
                 pg = g
             max_violation = max(max_violation, abs(pg))
             if pg != 0.0:
-                new = min(max(alpha[i] - g / qii[i], 0.0), c)
-                delta = (new - alpha[i]) * labels[i]
+                new = min(max(a - g / qii[i], 0.0), c)
+                delta = (new - a) * y[i]
                 if delta != 0.0:
-                    w[cols] += delta * vals
-                    w[-1] += delta
+                    for col, v in row:
+                        w[col] += delta * v
+                    bias += delta
                     alpha[i] = new
-        history.append(0.5 * float(w @ w) - float(alpha.sum()))
+        history.append(0.5 * (sum(x * x for x in w) + bias * bias) - sum(alpha))
         if max_violation <= tol:
             break
 
-    margins = x @ w[:-1] + w[-1]
-    hinge = np.maximum(0.0, 1.0 - labels * margins).sum()
-    primal = 0.5 * float(w @ w) + c * float(hinge)
+    weights = np.array(w)
+    margins = to_csr(vectors, n_features) @ weights + bias
+    hinge = np.maximum(0.0, 1.0 - np.array(y) * margins).sum()
+    primal = 0.5 * (float(weights @ weights) + bias * bias) + c * float(hinge)
 
     return LinearModel(
-        weights=w[:-1].copy(),
-        bias=float(w[-1]),
+        weights=weights,
+        bias=bias,
         c=c,
         tol=tol,
         objective=primal,

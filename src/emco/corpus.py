@@ -72,6 +72,7 @@ def tokenize(raw_text: str) -> list[str]:
 def load_corpus_jsonl(path: str | Path) -> list[RawDocument]:
     """Read a JSON-lines corpus with fields id, text, labels, split."""
     docs = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -81,12 +82,26 @@ def load_corpus_jsonl(path: str | Path) -> list[RawDocument]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            for key in ("id", "text", "labels", "split"):
+                if key not in obj:
+                    raise ValueError(f"{path}:{lineno}: missing key {key!r}")
             split = obj["split"]
             if split not in ("train", "test"):
                 raise ValueError(f"{path}:{lineno}: bad split {split!r}")
+            if not isinstance(obj["labels"], list):
+                raise ValueError(
+                    f"{path}:{lineno}: labels must be a list, "
+                    f"got {type(obj['labels']).__name__}"
+                )
+            doc_id = str(obj["id"])
+            if doc_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
+            seen.add(doc_id)
             docs.append(
                 RawDocument(
-                    id=str(obj["id"]),
+                    id=doc_id,
                     text=str(obj["text"]),
                     labels=frozenset(str(x) for x in obj["labels"]),
                     split=split,

@@ -20,6 +20,7 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -52,14 +53,48 @@ class ExperimentConfig:
     stopwords_path: str | None = None
 
     def __post_init__(self):
+        for key in ("corpus_path", "output_dir", "dataset"):
+            _check_type(key, getattr(self, key), str, "a string")
+        if self.stopwords_path is not None:
+            _check_type("stopwords_path", self.stopwords_path, str, "a string")
+        for key in ("repetitions", "k_neighbors", "max_iters", "master_seed", "workers"):
+            _check_type(key, getattr(self, key), numbers.Integral, "an integer")
+        for key in ("c", "tol"):
+            _check_type(key, getattr(self, key), numbers.Real, "a number")
+        for key in ("gammas", "sampling_ratios"):
+            for value in getattr(self, key):
+                _check_type(key, value, numbers.Real, "a list of numbers")
+
         for method in self.methods:
             if method not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {method!r}")
         for ratio in self.sampling_ratios:
             if not 0.0 < ratio < 1.0:
                 raise ValueError(f"sampling ratio must be in (0, 1): {ratio}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        for key in ("repetitions", "k_neighbors", "max_iters", "workers"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"config key {key!r} must be >= 1, got {value}")
+        for key in ("c", "tol"):
+            value = getattr(self, key)
+            if not value > 0:
+                raise ValueError(f"config key {key!r} must be > 0, got {value}")
+
+        # Seeds and labels are derived from str(gamma) and f"{gamma:g}", so an
+        # int gamma must become a float to give the same results as 1.0.
+        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        labels: dict[str, float] = {}
+        for gamma in self.gammas:
+            if not (math.isfinite(gamma) and gamma >= 0):
+                raise ValueError(
+                    f"config key 'gammas' must hold finite values >= 0, got {gamma}"
+                )
+            label = f"{gamma:g}"
+            if label in labels:
+                raise ValueError(
+                    f"gammas {labels[label]!r} and {gamma!r} share the label {label!r}"
+                )
+            labels[label] = gamma
         if "emco" in self.methods and not self.gammas:
             raise ValueError("emco requires a nonempty gamma list")
 
@@ -86,6 +121,13 @@ class ExperimentConfig:
     def from_json(path: str | Path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as handle:
             return ExperimentConfig.from_dict(json.load(handle))
+
+
+def _check_type(key: str, value, kind: type, description: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(
+            f"config key {key!r} must be {description}, got {type(value).__name__}"
+        )
 
 
 def derive_seed(master_seed: int, *parts) -> int:

@@ -94,6 +94,10 @@ class TestEstimate:
         with pytest.raises(ValueError):
             chain.estimate([], [["a"]], gamma=0.0)
 
+    def test_rejects_empty_minority_document(self):
+        with pytest.raises(ValueError):
+            chain.estimate([["a"], []], [["a"]], gamma=0.0)
+
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
             chain.estimate([["a"]], [], gamma=-0.5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emco import classifier
-from emco.vectorize import SparseVector
+from emco.vectorize import SparseVector, to_csr
 
 
 def sv(*dense):
@@ -85,6 +85,68 @@ class TestTrain:
         # a zero vector is classified purely by the bias
         _, value = classifier.predict(model, SparseVector(()))
         assert value == pytest.approx(model.bias)
+
+
+def reference_train(vectors, labels, c, tol, max_iters, n_features, seed):
+    """The CSR/numpy epoch loop that ``classifier.train`` replaced: the bias is
+    an augmented last column of ``w``. Returns (weights, bias)."""
+    labels = np.asarray(labels, dtype=float)
+    x = to_csr(vectors, n_features)
+    n = x.shape[0]
+    qii = np.asarray(x.multiply(x).sum(axis=1)).ravel() + 1.0
+    w = np.zeros(n_features + 1)
+    alpha = np.zeros(n)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_iters):
+        max_violation = 0.0
+        for i in rng.permutation(n):
+            cols = x.indices[x.indptr[i]:x.indptr[i + 1]]
+            vals = x.data[x.indptr[i]:x.indptr[i + 1]]
+            g = labels[i] * (float(w[cols] @ vals) + w[-1]) - 1.0
+            if alpha[i] == 0.0:
+                pg = min(g, 0.0)
+            elif alpha[i] == c:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            max_violation = max(max_violation, abs(pg))
+            if pg != 0.0:
+                new = min(max(alpha[i] - g / qii[i], 0.0), c)
+                delta = (new - alpha[i]) * labels[i]
+                if delta != 0.0:
+                    w[cols] += delta * vals
+                    w[-1] += delta
+                    alpha[i] = new
+        if max_violation <= tol:
+            break
+    return w[:-1], float(w[-1])
+
+
+def random_sparse_problem(seed, n=40, d=12, density=0.3):
+    """Overlapping classes, so the solution has bounded and free alphas."""
+    rng = np.random.default_rng(seed)
+    labels = [1] * (n // 4) + [-1] * (n - n // 4)
+    vectors = []
+    for y in labels:
+        row = rng.normal(0.3 * y, 1.0, size=d) * (rng.random(d) < density)
+        vectors.append(SparseVector.from_dense(row))
+    return vectors, labels
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("c", [0.5, 4.0])
+    def test_matches_reference_solution(self, seed, c):
+        vectors, labels = random_sparse_problem(seed)
+        kwargs = dict(c=c, tol=1e-9, max_iters=100000, n_features=12, seed=seed)
+        model = classifier.train(vectors, labels, **kwargs)
+        weights, bias = reference_train(vectors, labels, **kwargs)
+        assert model.n_epochs < kwargs["max_iters"]
+        # the primal is strongly convex in (w, b), so both reach one optimum
+        np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-6)
+        assert model.bias == pytest.approx(bias, abs=1e-6)
+        # weak duality: the primal objective bounds the dual from above
+        assert model.objective >= -model.dual_objective_history[-1] - 1e-9
 
 
 class TestPredict:

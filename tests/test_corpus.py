@@ -173,3 +173,21 @@ def test_corpus_jsonl_bad_split(tmp_path):
     path.write_text('{"id": "1", "text": "x", "labels": [], "split": "dev"}\n')
     with pytest.raises(ValueError):
         corpus.load_corpus_jsonl(path)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (['{"id": "1", "text": "x", "split": "train"}'], ":1: missing key 'labels'"),
+    (['{"text": "x", "labels": [], "split": "train"}'], ":1: missing key 'id'"),
+    (['["1", "x", [], "train"]'], ":1: expected a JSON object"),
+    (['{"id": "1", "text": "x", "labels": "abc", "split": "train"}'],
+     ":1: labels must be a list, got str"),
+    (['{"id": "1", "text": "x", "labels": [], "split": "train"}',
+      '{"id": "1", "text": "y", "labels": [], "split": "test"}'],
+     ":2: duplicate document id '1'"),
+])
+def test_corpus_jsonl_bad_line_is_one_line_error(tmp_path, lines, message):
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        corpus.load_corpus_jsonl(path)
+    assert str(info.value) == f"{path}{message}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emco import classifier, cli, harness
+from emco import classifier, cli, corpus, harness
 from emco.data import mini_corpus_path
 
 
@@ -49,6 +49,21 @@ class TestConfig:
         assert config.methods == ("none", "ros")
         assert config.gammas == (0.1, 1.0)
         assert config.sampling_ratios == (0.2,)
+
+    def test_integer_gamma_gives_the_results_of_its_float(self, tmp_path):
+        bodies = []
+        for gamma in (1, 1.0):
+            out = tmp_path / repr(gamma)
+            harness.run(harness.ExperimentConfig.from_dict({
+                "corpus_path": str(mini_corpus_path()),
+                "output_dir": str(out),
+                "methods": ["emco"],
+                "gammas": [gamma],
+                "sampling_ratios": [0.2],
+                "repetitions": 1,
+            }))
+            bodies.append((out / "results.csv").read_bytes())
+        assert bodies[0] == bodies[1]
 
 
 class TestDeriveSeed:
@@ -199,7 +214,7 @@ class TestRun:
 
 
 class TestTaskState:
-    def test_shared_id_is_labeled_by_category(self, tmp_path, monkeypatch):
+    def test_shared_id_is_labeled_by_category(self, monkeypatch):
         c_text = "wheat grain export wheat grain export"
         x_text = "bank market price bank market price"
         docs = [{"id": "dup", "text": c_text, "labels": ["c"], "split": "train"},
@@ -209,10 +224,12 @@ class TestTaskState:
                  for i in range(17)]
         docs += [{"id": "t0", "text": c_text, "labels": ["c"], "split": "test"},
                  {"id": "t1", "text": x_text, "labels": ["x"], "split": "test"}]
-        path = tmp_path / "corpus.jsonl"
-        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        raws = [corpus.RawDocument(d["id"], d["text"], frozenset(d["labels"]), d["split"])
+                for d in docs]
+        # the corpus loader rejects a repeated id; documents built in code can share one
+        monkeypatch.setattr(corpus, "load_corpus_jsonl", lambda path: raws)
         config = harness.ExperimentConfig(
-            corpus_path=str(path), methods=("none", "ros"),
+            corpus_path="in-memory", methods=("none", "ros"),
             sampling_ratios=(0.2,), repetitions=1,
         )
         prepared = harness.prepare(config)
@@ -340,6 +357,19 @@ class TestCli:
     @pytest.mark.parametrize("extra, message", [
         ({"repetitons": 2}, "error: unknown config key 'repetitons'"),
         ({"methods": "ros"}, "error: config key 'methods' must be a list, got str"),
+        ({"repetitions": "5"}, "error: config key 'repetitions' must be an integer, got str"),
+        ({"workers": 1.5}, "error: config key 'workers' must be an integer, got float"),
+        ({"c": "1"}, "error: config key 'c' must be a number, got str"),
+        ({"gammas": ["1"]}, "error: config key 'gammas' must be a list of numbers, got str"),
+        ({"c": 0}, "error: config key 'c' must be > 0, got 0"),
+        ({"tol": -0.001}, "error: config key 'tol' must be > 0, got -0.001"),
+        ({"k_neighbors": 0}, "error: config key 'k_neighbors' must be >= 1, got 0"),
+        ({"workers": 0}, "error: config key 'workers' must be >= 1, got 0"),
+        ({"max_iters": 0}, "error: config key 'max_iters' must be >= 1, got 0"),
+        ({"gammas": [float("nan")]}, "error: config key 'gammas' must hold finite values >= 0, got nan"),
+        ({"gammas": [-0.5]}, "error: config key 'gammas' must hold finite values >= 0, got -0.5"),
+        ({"gammas": [0.1234567, 0.1234568]},
+         "error: gammas 0.1234567 and 0.1234568 share the label '0.123457'"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, extra, message):
         config_path = tmp_path / "config.json"
