@@ -12,7 +12,6 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +37,12 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stopwords", help="stopword list, one word per line")
 
 
-def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
-    base: dict = {}
+def _build_config(args: argparse.Namespace, **defaults) -> harness.ExperimentConfig:
+    """Config from ``defaults``, then the --config file, then explicit flags."""
+    base: dict = dict(defaults)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            base = json.load(handle)
+            base.update(json.load(handle))
     overrides = {
         "corpus_path": args.corpus,
         "output_dir": args.output_dir,
@@ -112,21 +112,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if "emco" not in config.methods:
-        config = harness.ExperimentConfig(
-            **{**asdict(config), "methods": tuple(config.methods) + ("emco",)}
-        )
-    gammas = args.sweep_gammas or [0.0, 0.01, 0.1, 1.0]
-    rows = harness.gamma_sweep(config, gammas)
+    config = _build_config(args, gammas=[0.0, 0.01, 0.1, 1.0])
+    rows = harness.gamma_sweep(config, config.gammas)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(
             handle,
-            fieldnames=["gamma", "sampling_ratio", "band", "recall", "tnr",
-                        "precision", "n_categories"],
+            fieldnames=["gamma", "sampling_ratio", "band", *harness.SWEEP_METRICS],
         )
         writer.writeheader()
         writer.writerows(rows)
@@ -229,12 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="gamma sweep for emco")
-    _add_config_args(p_sweep)
-    p_sweep.add_argument(
-        "--sweep-gammas", nargs="+", type=float,
-        help="gamma grid (default: 0 0.01 0.1 1)",
+    p_sweep = sub.add_parser(
+        "sweep", help="gamma sweep for emco over --gammas (default: 0 0.01 0.1 1)"
     )
+    _add_config_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_growth = sub.add_parser(

@@ -13,10 +13,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from .data import stopwords_path
 from .stemming import PorterStemmer
 
 _TOKEN_RE = re.compile(r"[a-z]+")
@@ -95,6 +95,16 @@ def load_corpus_jsonl(path: str | Path) -> list[RawDocument]:
                     f"{path}:{lineno}: labels must be a list, "
                     f"got {type(obj['labels']).__name__}"
                 )
+            for key, value, kinds, description in (
+                ("id", obj["id"], (str, int), "a string or an integer"),
+                ("text", obj["text"], str, "a string"),
+                *(("labels", x, str, "a list of strings") for x in obj["labels"]),
+            ):
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} must be {description}, "
+                        f"got {type(value).__name__}"
+                    )
             doc_id = str(obj["id"])
             if doc_id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
@@ -102,8 +112,8 @@ def load_corpus_jsonl(path: str | Path) -> list[RawDocument]:
             docs.append(
                 RawDocument(
                     id=doc_id,
-                    text=str(obj["text"]),
-                    labels=frozenset(str(x) for x in obj["labels"]),
+                    text=obj["text"],
+                    labels=frozenset(obj["labels"]),
                     split=split,
                 )
             )
@@ -118,8 +128,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 def default_stopwords() -> frozenset[str]:
     """Bundled English stopword list."""
-    text = resources.files("emco.data").joinpath("stopwords_en.txt").read_text("utf-8")
-    return frozenset(w.strip() for w in text.splitlines() if w.strip())
+    return load_stopwords(stopwords_path())
 
 
 def resolve_stopwords(path: str | Path | None) -> frozenset[str]:

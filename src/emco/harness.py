@@ -22,7 +22,7 @@ import logging
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,6 +33,7 @@ from . import baselines, chain, classifier, corpus, metrics, vectorize
 log = logging.getLogger(__name__)
 
 KNOWN_METHODS = ("none", "ros", "smote", "adasyn", "mco", "emco")
+SWEEP_METRICS = ("recall", "tnr", "precision", "n_categories")
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ class ExperimentConfig:
         for method in self.methods:
             if method not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {method!r}")
+            if self.methods.count(method) > 1:
+                raise ValueError(f"method {method!r} is repeated")
         for ratio in self.sampling_ratios:
             if not 0.0 < ratio < 1.0:
                 raise ValueError(f"sampling ratio must be in (0, 1): {ratio}")
@@ -83,18 +86,21 @@ class ExperimentConfig:
         # Seeds and labels are derived from str(gamma) and f"{gamma:g}", so an
         # int gamma must become a float to give the same results as 1.0.
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        labels: dict[str, float] = {}
         for gamma in self.gammas:
             if not (math.isfinite(gamma) and gamma >= 0):
                 raise ValueError(
                     f"config key 'gammas' must hold finite values >= 0, got {gamma}"
                 )
-            label = f"{gamma:g}"
-            if label in labels:
-                raise ValueError(
-                    f"gammas {labels[label]!r} and {gamma!r} share the label {label!r}"
-                )
-            labels[label] = gamma
+        # rows and aggregate groups are keyed by these labels
+        for key in ("gammas", "sampling_ratios"):
+            labels: dict[str, float] = {}
+            for value in getattr(self, key):
+                label = f"{value:g}"
+                if label in labels:
+                    raise ValueError(
+                        f"{key} {labels[label]!r} and {value!r} share the label {label!r}"
+                    )
+                labels[label] = value
         if "emco" in self.methods and not self.gammas:
             raise ValueError("emco requires a nonempty gamma list")
 
@@ -294,14 +300,14 @@ def _run_one(
 
 def _execute(
     config: ExperimentConfig, prepared: _Prepared | None = None
-) -> tuple[list[dict], dict[float, dict[str, float]], list[dict]]:
-    """Run the whole matrix; returns (rows, frequencies per ratio, skipped)."""
+) -> tuple[list[dict], dict[str, dict[str, float]], list[dict]]:
+    """Run the whole matrix; returns (rows, frequencies per ratio label, skipped)."""
     if prepared is None:
         prepared = prepare(config)
 
     jobs = []
     skipped = []
-    frequencies: dict[float, dict[str, float]] = {}
+    frequencies: dict[str, dict[str, float]] = {}
     states: dict[str, _TaskState] = {}
     # an unsampled run ignores the ratio: it runs at the first ratio at which
     # its category qualifies and its row is copied to the others
@@ -309,18 +315,22 @@ def _execute(
 
     for ratio in config.sampling_ratios:
         tasks = corpus.build_ovr_tasks(prepared.docs, ratio)
-        frequencies[ratio] = {
+        frequencies[f"{ratio:g}"] = {
             t.category: t.minority_train_frequency for t in tasks
         }
         for task in tasks:
             if not task.evaluable:
+                reason = "test split lacks a class"
+            elif not task.train_minority:
+                reason = "no training document"
+            else:
+                reason = None
+            if reason:
                 log.warning(
-                    "skipping task %s at ratio %g: test split lacks a class",
-                    task.category, ratio,
+                    "skipping task %s at ratio %g: %s", task.category, ratio, reason
                 )
                 skipped.append(
-                    {"category": task.category, "ratio": ratio,
-                     "reason": "test split lacks a class"}
+                    {"category": task.category, "ratio": ratio, "reason": reason}
                 )
                 continue
             if task.category not in states:
@@ -372,9 +382,10 @@ def _execute(
 
 
 def aggregate_rows(
-    rows: Sequence[Mapping], frequencies: dict[float, dict[str, float]]
+    rows: Sequence[Mapping], frequencies: dict[str, dict[str, float]]
 ) -> dict[str, dict]:
-    """Macro averages keyed by 'method|ratio|band'."""
+    """Macro averages keyed by 'method|ratio|band'; ``frequencies`` is keyed
+    by the ratio label of the rows."""
     groups: dict[tuple[str, str], list[Mapping]] = {}
     for row in rows:
         label = method_label(
@@ -383,11 +394,10 @@ def aggregate_rows(
         groups.setdefault((label, row["sampling_ratio"]), []).append(row)
 
     out = {}
-    for (label, ratio_str), group_rows in sorted(groups.items()):
-        freqs = frequencies[float(ratio_str)]
-        banded = metrics.macro_average(group_rows, freqs)
+    for (label, ratio), group_rows in sorted(groups.items()):
+        banded = metrics.macro_average(group_rows, frequencies[ratio])
         for band, values in banded.items():
-            out[f"{label}|{ratio_str}|{band}"] = values
+            out[f"{label}|{ratio}|{band}"] = values
     return out
 
 
@@ -404,9 +414,7 @@ def run(config: ExperimentConfig) -> dict:
     manifest = {
         "config": asdict(config),
         "skipped_tasks": skipped,
-        "task_frequencies": {
-            f"{ratio:g}": freqs for ratio, freqs in frequencies.items()
-        },
+        "task_frequencies": frequencies,
         "n_rows": len(rows),
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
@@ -416,33 +424,23 @@ def run(config: ExperimentConfig) -> dict:
 
 
 def gamma_sweep(config: ExperimentConfig, gammas: Sequence[float]) -> list[dict]:
-    """Macro recall/tnr/precision per gamma value, for the emco method only."""
-    if "emco" not in config.methods:
-        raise ValueError("gamma_sweep requires emco among the configured methods")
-    prepared = prepare(config)
+    """Macro recall/tnr/precision of emco per (gamma, ratio, band), from one
+    run of the matrix restricted to emco at ``gammas``."""
+    rows, frequencies, _ = _execute(
+        replace(config, methods=("emco",), gammas=tuple(gammas))
+    )
+    aggregate = aggregate_rows(rows, frequencies)
     sweep_rows = []
     for gamma in gammas:
-        sweep_config = ExperimentConfig(
-            **{**asdict(config), "methods": ("emco",), "gammas": (float(gamma),)}
-        )
-        rows, frequencies, _ = _execute(sweep_config, prepared)
         for ratio in config.sampling_ratios:
-            ratio_rows = [
-                r for r in rows if r["sampling_ratio"] == f"{ratio:g}"
+            prefix = f"{method_label('emco', gamma)}|{ratio:g}|"
+            sweep_rows += [
+                {
+                    "gamma": gamma,
+                    "sampling_ratio": f"{ratio:g}",
+                    "band": key[len(prefix):],
+                    **{m: aggregate[key][m] for m in SWEEP_METRICS},
+                }
+                for key in sorted(aggregate) if key.startswith(prefix)
             ]
-            if not ratio_rows:
-                continue
-            banded = metrics.macro_average(ratio_rows, frequencies[ratio])
-            for band, values in sorted(banded.items()):
-                sweep_rows.append(
-                    {
-                        "gamma": gamma,
-                        "sampling_ratio": f"{ratio:g}",
-                        "band": band,
-                        "recall": values["recall"],
-                        "tnr": values["tnr"],
-                        "precision": values["precision"],
-                        "n_categories": values["n_categories"],
-                    }
-                )
     return sweep_rows

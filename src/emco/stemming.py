@@ -18,8 +18,8 @@ class PorterStemmer:
             return word
         word = self._step1ab(word)
         word = self._step1c(word)
-        word = self._step2(word)
-        word = self._step3(word)
+        word = self._replace_suffix(word, self._STEP2)
+        word = self._replace_suffix(word, self._STEP3)
         word = self._step4(word)
         word = self._step5(word)
         return word
@@ -108,36 +108,30 @@ class PorterStemmer:
             word = word[:-1] + "i"
         return word
 
+    # Each table is ordered longest suffix first, so the first match is the
+    # longest one.
     _STEP2 = (
-        ("ational", "ate"), ("tional", "tion"), ("enci", "ence"),
+        ("ational", "ate"), ("ization", "ize"), ("iveness", "ive"),
+        ("fulness", "ful"), ("ousness", "ous"), ("tional", "tion"),
+        ("biliti", "ble"), ("entli", "ent"), ("ousli", "ous"), ("ation", "ate"),
+        ("alism", "al"), ("aliti", "al"), ("iviti", "ive"), ("enci", "ence"),
         ("anci", "ance"), ("izer", "ize"), ("abli", "able"), ("alli", "al"),
-        ("entli", "ent"), ("eli", "e"), ("ousli", "ous"), ("ization", "ize"),
-        ("ation", "ate"), ("ator", "ate"), ("alism", "al"),
-        ("iveness", "ive"), ("fulness", "ful"), ("ousness", "ous"),
-        ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+        ("ator", "ate"), ("eli", "e"),
     )
 
     _STEP3 = (
         ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-        ("ical", "ic"), ("ful", ""), ("ness", ""),
+        ("ical", "ic"), ("ness", ""), ("ful", ""),
     )
 
     _STEP4 = (
-        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-        "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+        "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent", "ion",
+        "ism", "ate", "iti", "ous", "ive", "ize", "al", "er", "ic", "ou",
     )
 
-    def _step2(self, word: str) -> str:
-        for suffix, repl in sorted(self._STEP2, key=lambda p: -len(p[0])):
-            if word.endswith(suffix):
-                stem = word[: -len(suffix)]
-                if self._measure(stem) > 0:
-                    return stem + repl
-                return word
-        return word
-
-    def _step3(self, word: str) -> str:
-        for suffix, repl in sorted(self._STEP3, key=lambda p: -len(p[0])):
+    def _replace_suffix(self, word: str, table: tuple[tuple[str, str], ...]) -> str:
+        """Steps 2 and 3: replace the longest matching suffix if m(stem) > 0."""
+        for suffix, repl in table:
             if word.endswith(suffix):
                 stem = word[: -len(suffix)]
                 if self._measure(stem) > 0:
@@ -146,7 +140,7 @@ class PorterStemmer:
         return word
 
     def _step4(self, word: str) -> str:
-        for suffix in sorted(self._STEP4, key=len, reverse=True):
+        for suffix in self._STEP4:
             if word.endswith(suffix):
                 stem = word[: -len(suffix)]
                 if suffix == "ion" and not stem.endswith(("s", "t")):

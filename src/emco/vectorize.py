@@ -31,14 +31,6 @@ class SparseVector:
         if any(v == 0.0 for _, v in self.entries):
             raise ValueError("entries must be nonzero")
 
-    @property
-    def indices(self) -> list[int]:
-        return [i for i, _ in self.entries]
-
-    @property
-    def values(self) -> list[float]:
-        return [v for _, v in self.entries]
-
     def norm(self) -> float:
         return math.sqrt(sum(v * v for _, v in self.entries))
 

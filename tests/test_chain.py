@@ -217,3 +217,41 @@ class TestSampling:
         assert draws[1] / 30000 == pytest.approx(2 / 3, abs=0.01)
         assert draws[2] / 30000 == pytest.approx(1 / 3, abs=0.01)
 
+
+
+MINORITY_DOCS = st.lists(
+    st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), min_size=1, max_size=5
+)
+MAJORITY_DOCS = st.lists(
+    st.lists(st.sampled_from("bcdefgh"), min_size=1, max_size=6), max_size=5
+)
+
+
+def walk_support(model, seed):
+    rng = np.random.default_rng(seed)
+    return {word for doc in chain.oversample(model, 20, rng) for word in doc}
+
+
+class TestWalkSupport:
+    @given(MINORITY_DOCS, MAJORITY_DOCS, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60)
+    def test_gamma_zero_stays_in_minority_vocab(self, minority, majority, seed):
+        model = chain.estimate(minority, majority, 0.0)
+        v_min = {w for doc in minority for w in doc}
+        assert walk_support(model, seed) <= v_min
+
+    @given(
+        MINORITY_DOCS, MAJORITY_DOCS, st.floats(0.001, 10.0),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_gamma_positive_adds_only_majority_successors_of_minority_words(
+        self, minority, majority, gamma, seed
+    ):
+        model = chain.estimate(minority, majority, gamma)
+        v_min = {w for doc in minority for w in doc}
+        successors = {
+            b for doc in majority for a, b in zip(doc, doc[1:])
+            if a in v_min and b not in v_min
+        }
+        assert walk_support(model, seed) <= v_min | successors

@@ -161,11 +161,11 @@ def test_corpus_jsonl_roundtrip(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(
         '{"id": "1", "text": "Hello there", "labels": ["a"], "split": "train"}\n'
-        '{"id": "2", "text": "Bye", "labels": [], "split": "test"}\n'
+        '{"id": 2, "text": "Bye", "labels": [], "split": "test"}\n'
     )
     docs = corpus.load_corpus_jsonl(path)
     assert docs[0].id == "1" and docs[0].labels == frozenset({"a"})
-    assert docs[1].split == "test"
+    assert docs[1].split == "test" and docs[1].id == "2"
 
 
 def test_corpus_jsonl_bad_split(tmp_path):
@@ -184,6 +184,18 @@ def test_corpus_jsonl_bad_split(tmp_path):
     (['{"id": "1", "text": "x", "labels": [], "split": "train"}',
       '{"id": "1", "text": "y", "labels": [], "split": "test"}'],
      ":2: duplicate document id '1'"),
+    (['{"id": "1", "text": ["wheat", "grain"], "labels": [], "split": "train"}'],
+     ":1: text must be a string, got list"),
+    (['{"id": "1", "text": null, "labels": [], "split": "train"}'],
+     ":1: text must be a string, got NoneType"),
+    (['{"id": "1", "text": "x", "labels": [["a", "b"]], "split": "train"}'],
+     ":1: labels must be a list of strings, got list"),
+    (['{"id": "1", "text": "x", "labels": ["a", 2], "split": "train"}'],
+     ":1: labels must be a list of strings, got int"),
+    (['{"id": 1.5, "text": "x", "labels": [], "split": "train"}'],
+     ":1: id must be a string or an integer, got float"),
+    (['{"id": true, "text": "x", "labels": [], "split": "train"}'],
+     ":1: id must be a string or an integer, got bool"),
 ])
 def test_corpus_jsonl_bad_line_is_one_line_error(tmp_path, lines, message):
     path = tmp_path / "c.jsonl"
@@ -191,3 +203,4 @@ def test_corpus_jsonl_bad_line_is_one_line_error(tmp_path, lines, message):
     with pytest.raises(ValueError) as info:
         corpus.load_corpus_jsonl(path)
     assert str(info.value) == f"{path}{message}"
+

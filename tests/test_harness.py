@@ -246,6 +246,28 @@ class TestTaskState:
             assert labels[:n] == expected
             assert set(vectors[n:]) <= c_vectors  # ros copies minority rows only
 
+    def test_category_without_training_document_is_skipped(self, tmp_path, caplog):
+        c_text = "wheat grain export wheat grain export"
+        x_text = "bank market price bank market price"
+        docs = [{"id": f"c{i}", "text": c_text, "labels": ["c"], "split": "train"}
+                for i in range(2)]
+        docs += [{"id": f"x{i}", "text": x_text, "labels": ["x"], "split": "train"}
+                 for i in range(17)]
+        docs += [{"id": "t0", "text": c_text, "labels": ["c"], "split": "test"},
+                 {"id": "t1", "text": x_text, "labels": ["x"], "split": "test"},
+                 {"id": "t2", "text": x_text, "labels": ["x", "new"], "split": "test"}]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        result = harness.run(harness.ExperimentConfig(
+            corpus_path=str(path), output_dir=str(tmp_path / "out"),
+            methods=("none",), sampling_ratios=(0.2,), repetitions=1,
+        ))
+        assert result["manifest"]["skipped_tasks"] == [
+            {"category": "new", "ratio": 0.2, "reason": "no training document"}
+        ]
+        assert {r["category"] for r in result["rows"]} == {"c"}
+        assert "skipping task new at ratio 0.2: no training document" in caplog.text
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_none_trains_once_per_category_and_rep(self, monkeypatch, workers):
         config = harness.ExperimentConfig(
@@ -294,12 +316,27 @@ class TestGammaSweep:
         for row in rows:
             assert 0.0 <= row["recall"] <= 1.0
 
-    def test_requires_emco(self):
+    def test_runs_the_matrix_once_for_emco_only(self, monkeypatch):
+        configs = []
+        real = harness._execute
+
+        def execute(config, prepared=None):
+            configs.append(config)
+            return real(config, prepared)
+
+        monkeypatch.setattr(harness, "_execute", execute)
         config = harness.ExperimentConfig(
-            corpus_path=str(mini_corpus_path()), methods=("ros",)
+            corpus_path=str(mini_corpus_path()),
+            methods=("none", "ros"),
+            sampling_ratios=(0.1, 0.2),
+            repetitions=1,
         )
-        with pytest.raises(ValueError):
-            harness.gamma_sweep(config, [0.0])
+        rows = harness.gamma_sweep(config, [1.0, 0.0])
+        assert [(c.methods, c.gammas) for c in configs] == [(("emco",), (1.0, 0.0))]
+        keys = [(r["gamma"], r["sampling_ratio"], r["band"]) for r in rows]
+        assert {k[:2] for k in keys} == {(1.0, "0.1"), (1.0, "0.2"), (0.0, "0.1"), (0.0, "0.2")}
+        # gamma in the order given (1 before 0), then ratio, then band
+        assert keys == sorted(keys, key=lambda k: (-k[0], float(k[1]), k[2]))
 
 
 class TestCli:
@@ -370,6 +407,12 @@ class TestCli:
         ({"gammas": [-0.5]}, "error: config key 'gammas' must hold finite values >= 0, got -0.5"),
         ({"gammas": [0.1234567, 0.1234568]},
          "error: gammas 0.1234567 and 0.1234568 share the label '0.123457'"),
+        ({"sampling_ratios": [0.1234567, 0.1234568]},
+         "error: sampling_ratios 0.1234567 and 0.1234568 share the label '0.123457'"),
+        ({"sampling_ratios": [0.2, 0.2]},
+         "error: sampling_ratios 0.2 and 0.2 share the label '0.2'"),
+        ({"gammas": [1, 1.0]}, "error: gammas 1.0 and 1.0 share the label '1'"),
+        ({"methods": ["ros", "none", "ros"]}, "error: method 'ros' is repeated"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, extra, message):
         config_path = tmp_path / "config.json"
@@ -382,6 +425,43 @@ class TestCli:
         ])
         assert rc == 1
         assert capsys.readouterr().err == message + "\n"
+
+    def test_sweep_writes_the_gammas_flag_grid(self, tmp_path):
+        out = tmp_path / "out"
+        rc = cli.main([
+            "sweep", "--corpus", str(mini_corpus_path()), "--output-dir", str(out),
+            "--gammas", "0.5", "--ratios", "0.2", "--repetitions", "1",
+        ])
+        assert rc == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) > 1
+        assert {line.split(",")[0] for line in lines[1:]} == {"0.5"}
+
+    def test_sweep_takes_its_grid_from_the_config_file(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "corpus_path": str(mini_corpus_path()),
+            "gammas": [1, 0],
+            "sampling_ratios": [0.2],
+            "repetitions": 1,
+        }))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config_path),
+                         "--output-dir", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1.0", "0.0"]
+
+    def test_ratio_with_a_shortened_label_completes(self, tmp_path):
+        out = tmp_path / "out"
+        rc = cli.main([
+            "run", "--corpus", str(mini_corpus_path()), "--output-dir", str(out),
+            "--methods", "none", "--ratios", "0.1234567", "--repetitions", "1",
+        ])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["task_frequencies"]) == ["0.123457"]
+        aggregate = json.loads((out / "aggregate.json").read_text())
+        assert aggregate and all(k.startswith("none|0.123457|") for k in aggregate)
 
     def test_missing_corpus_is_clean_error(self, tmp_path, capsys):
         rc = cli.main([

@@ -114,3 +114,11 @@ def test_idempotent_on_its_own_output(word):
 
 def test_identity_stemmer():
     assert identity_stemmer("running") == "running"
+
+
+@pytest.mark.parametrize("table", ["_STEP2", "_STEP3", "_STEP4"])
+def test_suffix_tables_are_longest_first(table):
+    # the steps take the first matching suffix, which must be the longest
+    suffixes = [e if isinstance(e, str) else e[0] for e in getattr(PorterStemmer, table)]
+    lengths = [len(s) for s in suffixes]
+    assert lengths == sorted(lengths, reverse=True)
