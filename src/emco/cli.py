@@ -1,40 +1,45 @@
 """Command-line interface.
 
-Subcommands: prep, run, sweep, growth, vocab-eval. Most flags mirror
-ExperimentConfig; --config loads a JSON file whose keys are overridden by
-any explicitly passed flags.
+Subcommands: prep, run, sweep, growth, vocab-eval. Each flag of run and
+sweep sets the ExperimentConfig field named by its dest; --config loads a
+JSON file whose keys are overridden by any explicitly passed flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, chain, corpus, harness, vectorize
+from . import analysis, chain, corpus, harness, metrics
 
 
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
+def _add_config_args(parser: argparse.ArgumentParser, methods: bool) -> None:
+    """Flags that set ExperimentConfig fields; each flag's dest is its field."""
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--corpus", help="JSONL corpus path")
+    parser.add_argument("--corpus", dest="corpus_path", help="JSONL corpus path")
     parser.add_argument("--output-dir", help="directory for result files")
     parser.add_argument("--dataset", help="dataset name recorded in result rows")
-    parser.add_argument("--methods", nargs="+", choices=harness.KNOWN_METHODS)
+    if methods:
+        parser.add_argument("--methods", nargs="+", choices=harness.KNOWN_METHODS)
     parser.add_argument("--gammas", nargs="+", type=float)
-    parser.add_argument("--ratios", nargs="+", type=float)
+    parser.add_argument("--ratios", dest="sampling_ratios", nargs="+", type=float)
     parser.add_argument("--repetitions", type=int)
     parser.add_argument("--k-neighbors", type=int)
     parser.add_argument("--c", type=float)
     parser.add_argument("--tol", type=float)
     parser.add_argument("--max-iters", type=int)
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--stopwords", help="stopword list, one word per line")
+    parser.add_argument(
+        "--stopwords", dest="stopwords_path",
+        help="stopword list, one word per line",
+    )
 
 
 def _build_config(args: argparse.Namespace, **defaults) -> harness.ExperimentConfig:
@@ -43,23 +48,10 @@ def _build_config(args: argparse.Namespace, **defaults) -> harness.ExperimentCon
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             base.update(json.load(handle))
-    overrides = {
-        "corpus_path": args.corpus,
-        "output_dir": args.output_dir,
-        "dataset": args.dataset,
-        "methods": args.methods,
-        "gammas": args.gammas,
-        "sampling_ratios": args.ratios,
-        "repetitions": args.repetitions,
-        "k_neighbors": args.k_neighbors,
-        "c": args.c,
-        "tol": args.tol,
-        "max_iters": args.max_iters,
-        "master_seed": args.seed,
-        "workers": args.workers,
-        "stopwords_path": args.stopwords,
-    }
-    base.update({k: v for k, v in overrides.items() if v is not None})
+    for f in fields(harness.ExperimentConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            base[f.name] = value
     if "corpus_path" not in base:
         raise SystemExit("error: a corpus path is required (--corpus or config)")
     return harness.ExperimentConfig.from_dict(base)
@@ -117,13 +109,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(
-            handle,
-            fieldnames=["gamma", "sampling_ratio", "band", *harness.SWEEP_METRICS],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    metrics.write_rows_csv(
+        path, rows, ("gamma", "sampling_ratio", "band", *harness.SWEEP_METRICS)
+    )
     print(f"wrote {len(rows)} sweep rows to {path}")
     return 0
 
@@ -171,6 +159,8 @@ def cmd_vocab_eval(args: argparse.Namespace) -> int:
             f"ratio {args.ratio} (available: {sorted(by_cat)})"
         )
     task = by_cat[args.category]
+    if not task.train_minority:
+        raise SystemExit(f"error: category {args.category!r} has no training document")
     model = chain.estimate(
         [d.tokens for d in task.train_minority],
         [d.tokens for d in task.train_majority],
@@ -220,13 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_prep.set_defaults(func=cmd_prep)
 
     p_run = sub.add_parser("run", help="run the experiment matrix")
-    _add_config_args(p_run)
+    _add_config_args(p_run, methods=True)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser(
         "sweep", help="gamma sweep for emco over --gammas (default: 0 0.01 0.1 1)"
     )
-    _add_config_args(p_sweep)
+    _add_config_args(p_sweep, methods=False)  # a sweep runs emco only
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_growth = sub.add_parser(

@@ -5,13 +5,15 @@ Every unit of work derives its own random generator from a stable hash of
 (master seed, category, method, gamma, ratio, repetition), so results do not
 depend on execution order or the worker-pool size.
 
-Before any job runs, each category gets one ``_TaskState``, built serially:
-training labels by category membership, the minority and majority vector
-lists, the test labels and the estimated chain models. Jobs only read it.
-A job draws its synthetic vectors, trains one classifier and scores it. The
-unsampled ``none`` method does not depend on the ratio, so it runs once per
-(category, repetition) and its row is copied to every other ratio at which
-the category qualifies.
+The plan walks each category once. Each ratio's tasks decide which categories
+qualify at which ratios; then each qualifying category gets one ``_TaskState``,
+built serially before any job runs: training labels by category membership,
+the minority and majority vector lists, the test labels and one chain model
+per gamma that mco and emco need. Jobs only read it. A job draws its synthetic
+vectors, trains one classifier and scores it, giving one row per ratio it
+serves: the unsampled ``none`` method does not depend on the ratio, so its job
+serves every ratio at which the category qualifies; any other method's job
+serves one ratio.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import logging
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -208,17 +210,25 @@ class _TaskState:
     minority: list[vectorize.SparseVector]
     majority: list[vectorize.SparseVector]
     test_y: list[int]
-    chains: dict[float, chain.TransitionModel] = field(default_factory=dict)
+    chains: dict[float, chain.TransitionModel]  # keyed by gamma
 
 
-def _task_state(prepared: _Prepared, task: corpus.OvrTask) -> _TaskState:
+def _task_state(
+    prepared: _Prepared, task: corpus.OvrTask, chain_gammas: set[float]
+) -> _TaskState:
     train_y = [task.label(d) for d in prepared.train_docs]
+    minority_tokens = [d.tokens for d in task.train_minority]
+    majority_tokens = [d.tokens for d in task.train_majority]
     return _TaskState(
         category=task.category,
         train_y=train_y,
         minority=[v for y, v in zip(train_y, prepared.train_vectors) if y == 1],
         majority=[v for y, v in zip(train_y, prepared.train_vectors) if y == -1],
         test_y=[task.label(d) for d in prepared.test_docs],
+        chains={
+            gamma: chain.estimate(minority_tokens, majority_tokens, gamma)
+            for gamma in chain_gammas
+        },
     )
 
 
@@ -249,7 +259,7 @@ def _synthetic(
             n_features,
         )
     if method in ("mco", "emco"):
-        documents = chain.oversample(state.chains[float(gamma)], count, rng)
+        documents = chain.oversample(state.chains[gamma], count, rng)
         return [vectorize.transform_tokens(t, prepared.tfidf) for t in documents]
     raise ValueError(f"unknown method {method!r}")  # pragma: no cover
 
@@ -259,12 +269,14 @@ def _run_one(
     state: _TaskState,
     method: str,
     gamma: float | None,
-    ratio: float,
+    ratios: list[float],
     rep: int,
     config: ExperimentConfig,
-) -> dict:
-    s = synthetic_count(len(state.train_y), len(state.minority), ratio)
-    seed_ratio = ratio if method != "none" else "na"
+) -> list[dict]:
+    """One training, scored; one row per ratio in ``ratios`` (several only
+    for ``none``, whose training does not depend on the ratio)."""
+    s = synthetic_count(len(state.train_y), len(state.minority), ratios[0])
+    seed_ratio = ratios[0] if method != "none" else "na"
     seed_parts = (config.master_seed, state.category, method, gamma, seed_ratio, rep)
     rng = np.random.default_rng(derive_seed(*seed_parts))
     synthetic = _synthetic(prepared, state, method, gamma, s, rng, config)
@@ -280,22 +292,23 @@ def _run_one(
     )
     y_pred = [classifier.predict(model, v)[0] for v in prepared.test_vectors]
     counts = metrics.ConfusionCounts.from_predictions(state.test_y, y_pred)
-    row = {
-        "dataset": config.dataset,
-        "category": state.category,
-        "method": method,
-        "gamma": "" if gamma is None else f"{gamma:g}",
-        "sampling_ratio": f"{ratio:g}",
-        "repetition": rep,
-        "tp": counts.tp,
-        "fp": counts.fp,
-        "tn": counts.tn,
-        "fn": counts.fn,
-    }
-    row.update(
-        {k: round(v, 10) for k, v in metrics.compute_metrics(counts).items()}
-    )
-    return row
+    scores = {k: round(v, 10) for k, v in metrics.compute_metrics(counts).items()}
+    return [
+        {
+            "dataset": config.dataset,
+            "category": state.category,
+            "method": method,
+            "gamma": "" if gamma is None else f"{gamma:g}",
+            "sampling_ratio": f"{ratio:g}",
+            "repetition": rep,
+            "tp": counts.tp,
+            "fp": counts.fp,
+            "tn": counts.tn,
+            "fn": counts.fn,
+            **scores,
+        }
+        for ratio in ratios
+    ]
 
 
 def _execute(
@@ -305,14 +318,10 @@ def _execute(
     if prepared is None:
         prepared = prepare(config)
 
-    jobs = []
     skipped = []
     frequencies: dict[str, dict[str, float]] = {}
-    states: dict[str, _TaskState] = {}
-    # an unsampled run ignores the ratio: it runs at the first ratio at which
-    # its category qualifies and its row is copied to the others
-    none_ratios: dict[str, list[float]] = {}
-
+    # each qualifying category's task and the ratios at which it qualifies
+    qualifying: dict[str, tuple[corpus.OvrTask, list[float]]] = {}
     for ratio in config.sampling_ratios:
         tasks = corpus.build_ovr_tasks(prepared.docs, ratio)
         frequencies[f"{ratio:g}"] = {
@@ -333,45 +342,31 @@ def _execute(
                     {"category": task.category, "ratio": ratio, "reason": reason}
                 )
                 continue
-            if task.category not in states:
-                states[task.category] = _task_state(prepared, task)
-            state = states[task.category]
-            for method in config.methods:
-                gammas: tuple[float | None, ...]
-                if method == "emco":
-                    gammas = config.gammas
-                elif method == "mco":
-                    gammas = (0.0,)
-                else:
-                    gammas = (None,)
-                if method == "none":
-                    none_ratios.setdefault(task.category, []).append(ratio)
-                    if len(none_ratios[task.category]) > 1:
-                        continue
-                for gamma in gammas:
-                    if method in ("mco", "emco") and float(gamma) not in state.chains:
-                        state.chains[float(gamma)] = chain.estimate(
-                            [d.tokens for d in task.train_minority],
-                            [d.tokens for d in task.train_majority],
-                            float(gamma),
-                        )
+            qualifying.setdefault(task.category, (task, []))[1].append(ratio)
+
+    # mco is emco at gamma 0; the other methods have no gamma
+    method_gammas: dict[str, tuple[float | None, ...]] = {
+        m: config.gammas if m == "emco" else (0.0,) if m == "mco" else (None,)
+        for m in config.methods
+    }
+    chain_gammas = {
+        gamma for method in ("mco", "emco") for gamma in method_gammas.get(method, ())
+    }
+    jobs = []
+    for task, ratios in qualifying.values():
+        state = _task_state(prepared, task, chain_gammas)
+        for method, gammas in method_gammas.items():
+            served = [ratios] if method == "none" else [[ratio] for ratio in ratios]
+            for gamma in gammas:
+                for job_ratios in served:
                     for rep in range(config.repetitions):
-                        jobs.append((state, method, gamma, ratio, rep))
+                        jobs.append((state, method, gamma, job_ratios, rep))
 
     def run_job(job):
         return _run_one(prepared, *job, config)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(run_job, jobs))
-    else:
-        rows = [run_job(job) for job in jobs]
-    rows += [
-        {**row, "sampling_ratio": f"{ratio:g}"}
-        for row in rows if row["method"] == "none"
-        for ratio in none_ratios[row["category"]][1:]
-    ]
-
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        rows = [row for job_rows in pool.map(run_job, jobs) for row in job_rows]
     rows.sort(
         key=lambda r: (
             r["sampling_ratio"], r["category"], r["method"], r["gamma"],

@@ -127,13 +127,15 @@ def macro_average(
     return out
 
 
-def write_rows_csv(path: str | Path, rows: Iterable[Mapping]) -> None:
-    """Per-run result CSV with the fixed column layout."""
+def write_rows_csv(
+    path: str | Path, rows: Iterable[Mapping], columns: Sequence[str] = CSV_COLUMNS
+) -> None:
+    """Rows as CSV with a fixed column layout, by default the per-run one."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(handle, fieldnames=columns)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
+            writer.writerow({k: row.get(k, "") for k in columns})
 
 
 def write_aggregate_json(path: str | Path, aggregate: Mapping) -> None:

@@ -1,11 +1,12 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emco import classifier, cli, corpus, harness
+from emco import chain, classifier, cli, corpus, harness
 from emco.data import mini_corpus_path
 
 
@@ -21,6 +22,22 @@ def record_training(monkeypatch):
 
     monkeypatch.setattr(classifier, "train", train)
     return calls
+
+
+def write_test_only_category_corpus(tmp_path):
+    """A corpus whose category ``new`` labels a test document only."""
+    c_text = "wheat grain export wheat grain export"
+    x_text = "bank market price bank market price"
+    docs = [{"id": f"c{i}", "text": c_text, "labels": ["c"], "split": "train"}
+            for i in range(2)]
+    docs += [{"id": f"x{i}", "text": x_text, "labels": ["x"], "split": "train"}
+             for i in range(17)]
+    docs += [{"id": "t0", "text": c_text, "labels": ["c"], "split": "test"},
+             {"id": "t1", "text": x_text, "labels": ["x"], "split": "test"},
+             {"id": "t2", "text": x_text, "labels": ["x", "new"], "split": "test"}]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    return path
 
 
 class TestConfig:
@@ -195,8 +212,6 @@ class TestRun:
         assert mco == emco0
 
     def test_output_files_written(self, small_config, small_run):
-        from pathlib import Path
-
         out = Path(small_config.output_dir)
         assert (out / "results.csv").exists()
         assert (out / "aggregate.json").exists()
@@ -247,17 +262,7 @@ class TestTaskState:
             assert set(vectors[n:]) <= c_vectors  # ros copies minority rows only
 
     def test_category_without_training_document_is_skipped(self, tmp_path, caplog):
-        c_text = "wheat grain export wheat grain export"
-        x_text = "bank market price bank market price"
-        docs = [{"id": f"c{i}", "text": c_text, "labels": ["c"], "split": "train"}
-                for i in range(2)]
-        docs += [{"id": f"x{i}", "text": x_text, "labels": ["x"], "split": "train"}
-                 for i in range(17)]
-        docs += [{"id": "t0", "text": c_text, "labels": ["c"], "split": "test"},
-                 {"id": "t1", "text": x_text, "labels": ["x"], "split": "test"},
-                 {"id": "t2", "text": x_text, "labels": ["x", "new"], "split": "test"}]
-        path = tmp_path / "corpus.jsonl"
-        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        path = write_test_only_category_corpus(tmp_path)
         result = harness.run(harness.ExperimentConfig(
             corpus_path=str(path), output_dir=str(tmp_path / "out"),
             methods=("none",), sampling_ratios=(0.2,), repetitions=1,
@@ -282,6 +287,38 @@ class TestTaskState:
         pairs = {(r["category"], r["repetition"]) for r in rows}
         assert len(calls) == len(pairs)
         assert len(rows) > len(pairs)  # some rows are copies at a second ratio
+
+
+    @pytest.mark.parametrize("methods, gammas, chain_gammas", [
+        (("none", "mco", "emco"), (0.0, 1.0), [0.0, 1.0]),  # mco shares emco(0)'s
+        (("mco", "emco"), (0.1,), [0.0, 0.1]),
+        (("mco",), (1.0,), [0.0]),
+        (("none", "ros"), (1.0,), []),
+    ])
+    def test_chain_estimated_once_per_category_and_gamma(
+        self, monkeypatch, methods, gammas, chain_gammas
+    ):
+        estimated = []
+        real = chain.estimate
+
+        def estimate(minority, majority, gamma):
+            estimated.append(gamma)
+            return real(minority, majority, gamma)
+
+        monkeypatch.setattr(chain, "estimate", estimate)
+        config = harness.ExperimentConfig(
+            corpus_path=str(mini_corpus_path()),
+            methods=methods,
+            gammas=gammas,
+            sampling_ratios=(0.1, 0.2),
+            repetitions=1,
+        )
+        rows, _, _ = harness._execute(config)
+        ratios_of = {}
+        for row in rows:
+            ratios_of.setdefault(row["category"], set()).add(row["sampling_ratio"])
+        assert max(len(r) for r in ratios_of.values()) == 2  # one category at both
+        assert sorted(estimated) == sorted(chain_gammas * len(ratios_of))
 
 
 class TestDeterminism:
@@ -462,6 +499,59 @@ class TestCli:
         assert list(manifest["task_frequencies"]) == ["0.123457"]
         aggregate = json.loads((out / "aggregate.json").read_text())
         assert aggregate and all(k.startswith("none|0.123457|") for k in aggregate)
+
+    @pytest.mark.parametrize("flag, values, field, expected", [
+        ("--corpus", ["{tmp}/corpus.jsonl"], "corpus_path", "{tmp}/corpus.jsonl"),
+        ("--output-dir", ["{tmp}/elsewhere"], "output_dir", "{tmp}/elsewhere"),
+        ("--dataset", ["reuters"], "dataset", "reuters"),
+        ("--methods", ["ros", "none"], "methods", ["ros", "none"]),
+        ("--gammas", ["0.5", "2"], "gammas", [0.5, 2.0]),
+        ("--ratios", ["0.15", "0.2"], "sampling_ratios", [0.15, 0.2]),
+        ("--repetitions", ["2"], "repetitions", 2),
+        ("--k-neighbors", ["3"], "k_neighbors", 3),
+        ("--c", ["0.5"], "c", 0.5),
+        ("--tol", ["0.01"], "tol", 0.01),
+        ("--max-iters", ["50"], "max_iters", 50),
+        ("--seed", ["11"], "master_seed", 11),
+        ("--workers", ["2"], "workers", 2),
+        ("--stopwords", ["{tmp}/stop.txt"], "stopwords_path", "{tmp}/stop.txt"),
+    ])
+    def test_run_flag_sets_its_config_field(self, tmp_path, flag, values, field, expected):
+        (tmp_path / "corpus.jsonl").write_bytes(mini_corpus_path().read_bytes())
+        (tmp_path / "stop.txt").write_text("the\nof\n")
+        args = {
+            "--corpus": [str(mini_corpus_path())],
+            "--output-dir": [str(tmp_path / "out")],
+            "--methods": ["none"],
+            "--ratios": ["0.2"],
+            "--repetitions": ["1"],
+            flag: [v.format(tmp=tmp_path) for v in values],
+        }
+        assert cli.main(["run", *[a for k, vs in args.items() for a in (k, *vs)]]) == 0
+        out = Path(args["--output-dir"][0])
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        if isinstance(expected, str):
+            expected = expected.format(tmp=tmp_path)
+        assert config[field] == expected
+        default = harness.ExperimentConfig(corpus_path=str(mini_corpus_path()))
+        assert getattr(default, field) != (
+            tuple(expected) if isinstance(expected, list) else expected
+        )
+
+    def test_sweep_rejects_methods(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "sweep", "--corpus", str(mini_corpus_path()),
+                "--output-dir", str(tmp_path / "out"), "--methods", "ros",
+            ])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_vocab_eval_category_without_training_document(self, tmp_path):
+        path = write_test_only_category_corpus(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["vocab-eval", "--corpus", str(path), "--category", "new"])
+        assert exc.value.code == "error: category 'new' has no training document"
 
     def test_missing_corpus_is_clean_error(self, tmp_path, capsys):
         rc = cli.main([
