@@ -7,6 +7,13 @@ for the L1-loss SVM dual; its dual objective decreases monotonically, which
 is the descent property recorded per epoch. The epoch loop runs on plain
 Python floats over each vector's sparse entries: rows have a few dozen
 nonzeros, too few for numpy calls to pay for their overhead.
+
+Every sum in the loop (the margin, ``qii``, ||w||^2 and sum(alpha)) is an
+explicit left-to-right ``for`` loop, and the clips are comparisons, not
+``min``/``max``/``abs`` calls. Builtin ``sum()`` of floats is compensated
+from Python 3.12 on, so it would round differently there; the explicit loop
+rounds the same on every Python. A coordinate step then makes no generator
+and no builtin call, which roughly halves the solver's time.
 """
 
 from __future__ import annotations
@@ -52,7 +59,12 @@ def train(
 
     rows = [vec.entries for vec in vectors]
     n = len(rows)
-    qii = [sum(v * v for _, v in row) + 1.0 for row in rows]  # + bias feature
+    qii = []
+    for row in rows:
+        q = 0.0
+        for _, v in row:
+            q += v * v
+        qii.append(q + 1.0)  # + the bias feature
     w = [0.0] * n_features
     bias = 0.0
     alpha = [0.0] * n
@@ -65,24 +77,44 @@ def train(
         max_violation = 0.0
         for i in rng.permutation(n).tolist():
             row = rows[i]
+            yi = y[i]
+            m = 0.0
+            for col, v in row:
+                m += w[col] * v
+            g = yi * (m + bias) - 1.0
+            # Projected gradient: min(g, 0) at the lower bound, max(g, 0) at c.
             a = alpha[i]
-            g = y[i] * (sum(w[col] * v for col, v in row) + bias) - 1.0
+            pg = g
             if a == 0.0:
-                pg = min(g, 0.0)
+                if g > 0.0:
+                    pg = 0.0
             elif a == c:
-                pg = max(g, 0.0)
-            else:
-                pg = g
-            max_violation = max(max_violation, abs(pg))
+                if g < 0.0:
+                    pg = 0.0
+            # max_violation >= 0, so these two tests take max(it, |pg|).
+            if pg > max_violation:
+                max_violation = pg
+            elif -pg > max_violation:
+                max_violation = -pg
             if pg != 0.0:
-                new = min(max(a - g / qii[i], 0.0), c)
-                delta = (new - a) * y[i]
+                new = a - g / qii[i]  # then clipped to [0, c]
+                if new < 0.0:
+                    new = 0.0
+                if new > c:
+                    new = c
+                delta = (new - a) * yi
                 if delta != 0.0:
                     for col, v in row:
                         w[col] += delta * v
                     bias += delta
                     alpha[i] = new
-        history.append(0.5 * (sum(x * x for x in w) + bias * bias) - sum(alpha))
+        w_sq = 0.0
+        for x in w:
+            w_sq += x * x
+        alpha_sum = 0.0
+        for a in alpha:
+            alpha_sum += a
+        history.append(0.5 * (w_sq + bias * bias) - alpha_sum)
         if max_violation <= tol:
             break
 

@@ -114,17 +114,22 @@ def macro_average(
         dest = band_values.setdefault(band, {m: [] for m in METRIC_NAMES})
         band_counts[band] = band_counts.get(band, 0) + 1
         for metric in METRIC_NAMES:
-            dest[metric].append(
-                sum(r[metric] for r in cat_rows) / len(cat_rows)
-            )
+            dest[metric].append(_mean([r[metric] for r in cat_rows]))
 
     out = {}
     for band, values in band_values.items():
-        out[band] = {
-            m: sum(vals) / len(vals) for m, vals in values.items()
-        }
+        out[band] = {m: _mean(vals) for m, vals in values.items()}
         out[band]["n_categories"] = band_counts[band]
     return out
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean summed left to right, so it rounds the same on every Python
+    (builtin ``sum()`` of floats is compensated from 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def write_rows_csv(

@@ -11,9 +11,25 @@ def identity_stemmer(word: str) -> str:
 
 
 class PorterStemmer:
-    """Deterministic Porter stemmer over lowercase ASCII words."""
+    """Deterministic Porter stemmer over lowercase ASCII words.
+
+    Each instance memoizes the stems it has computed: a corpus repeats most
+    of its words, so a fresh stemmer per ``preprocess`` computes each
+    distinct word once.
+    """
+
+    def __init__(self):
+        self._stems: dict[str, str] = {}
 
     def stem(self, word: str) -> str:
+        stemmed = self._stems.get(word)
+        if stemmed is None:
+            stemmed = self._stems[word] = self._stem(word)
+        return stemmed
+
+    __call__ = stem
+
+    def _stem(self, word: str) -> str:
         if len(word) <= 2:
             return word
         word = self._step1ab(word)
@@ -23,8 +39,6 @@ class PorterStemmer:
         word = self._step4(word)
         word = self._step5(word)
         return word
-
-    __call__ = stem
 
     # --- helpers -----------------------------------------------------------
 

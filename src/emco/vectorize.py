@@ -32,7 +32,7 @@ class SparseVector:
             raise ValueError("entries must be nonzero")
 
     def norm(self) -> float:
-        return math.sqrt(sum(v * v for _, v in self.entries))
+        return _norm(self.entries)
 
     def to_dense(self, dim: int) -> np.ndarray:
         out = np.zeros(dim)
@@ -83,8 +83,17 @@ def transform_tokens(tokens: Iterable[str], model: TfidfModel) -> SparseVector:
     entries = sorted(
         (model.vocabulary[t], c * model.idf(t)) for t, c in counts.items()
     )
-    norm = math.sqrt(sum(v * v for _, v in entries))
+    norm = _norm(entries)
     return SparseVector(tuple((i, v / norm) for i, v in entries))
+
+
+def _norm(entries: Sequence[tuple[int, float]]) -> float:
+    """L2 norm, summed left to right: builtin ``sum()`` of floats rounds
+    differently from Python 3.12 on, and this norm reaches the results."""
+    total = 0.0
+    for _, v in entries:
+        total += v * v
+    return math.sqrt(total)
 
 
 def transform(doc: Document, model: TfidfModel) -> SparseVector:

@@ -1,5 +1,9 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from emco import classifier
 from emco.vectorize import SparseVector, to_csr
@@ -147,6 +151,110 @@ class TestAgainstReference:
         assert model.bias == pytest.approx(bias, abs=1e-6)
         # weak duality: the primal objective bounds the dual from above
         assert model.objective >= -model.dual_objective_history[-1] - 1e-9
+
+
+def builtin_train(vectors, labels, c, tol, max_iters, n_features, seed):
+    """Reference for the comparisons in ``classifier.train``: the same epoch
+    loop with ``min``/``max``/``abs`` calls, and sums taken by
+    ``functools.reduce``, which adds left to right on every Python.
+    Returns (weights, bias, dual history)."""
+
+    def total(values):
+        return functools.reduce(operator.add, values, 0.0)
+
+    y = [float(label) for label in labels]
+    rows = [vec.entries for vec in vectors]
+    qii = [total(v * v for _, v in row) + 1.0 for row in rows]
+    w = [0.0] * n_features
+    bias = 0.0
+    alpha = [0.0] * len(rows)
+    rng = np.random.default_rng(seed)
+    history = []
+    for _ in range(max_iters):
+        max_violation = 0.0
+        for i in rng.permutation(len(rows)).tolist():
+            a = alpha[i]
+            g = y[i] * (total(w[col] * v for col, v in rows[i]) + bias) - 1.0
+            if a == 0.0:
+                pg = min(g, 0.0)
+            elif a == c:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            max_violation = max(max_violation, abs(pg))
+            if pg != 0.0:
+                new = min(max(a - g / qii[i], 0.0), c)
+                delta = (new - a) * y[i]
+                if delta != 0.0:
+                    for col, v in rows[i]:
+                        w[col] += delta * v
+                    bias += delta
+                    alpha[i] = new
+        history.append(0.5 * (total(x * x for x in w) + bias * bias) - total(alpha))
+        if max_violation <= tol:
+            break
+    return w, bias, history
+
+
+# Rows over 6 features, entries in [-1, 1] as in tf-idf rows; a row may be
+# empty, and drawn rows are repeated (possibly with the other label).
+SPARSE_ROWS = st.lists(
+    st.dictionaries(
+        st.integers(0, 5),
+        st.floats(-1.0, 1.0, allow_nan=False).filter(lambda v: v != 0.0),
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@st.composite
+def sparse_problems(draw):
+    rows = draw(SPARSE_ROWS)
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(rows), max_size=len(rows)))
+    return [SparseVector(tuple(sorted(row.items()))) for row in rows], labels
+
+
+class TestTrainProperties:
+    """The projected-gradient, clip and history branches of the epoch loop."""
+
+    @given(
+        sparse_problems(),
+        st.sampled_from([0.001, 0.01, 0.1, 1.0, 10.0]),
+        st.sampled_from([1e-1, 1e-3, 1e-9]),
+        st.integers(1, 50),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    # a small c puts alpha at its upper bound: the same row with both labels
+    @example(([sv(0.5, 0.5)] * 2 + [SparseVector(())], [1, -1, 1]), 0.001, 1e-9, 20, 0)
+    # empty rows only: the bias is the only feature
+    @example(([SparseVector(())] * 3, [1, -1, -1]), 0.01, 1e-3, 10, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_dual_descends_and_bounds_the_primal(self, problem, c, tol, max_iters, seed):
+        vectors, labels = problem
+        assume(1 in labels and -1 in labels)
+        kwargs = dict(c=c, tol=tol, max_iters=max_iters, n_features=6, seed=seed)
+        model = classifier.train(vectors, labels, **kwargs)
+        # the comparisons give the values of the min/max/abs calls, bit for bit
+        weights, bias, history = builtin_train(vectors, labels, **kwargs)
+        assert model.weights.tolist() == weights
+        assert model.bias == bias
+        assert list(model.dual_objective_history) == history
+        hist = model.dual_objective_history
+        assert all(b <= a + 1e-10 for a, b in zip(hist, hist[1:]))
+        # weak duality: the primal objective bounds the dual from above
+        assert model.objective >= -hist[-1] - 1e-9
+        assert 1 <= model.n_epochs <= max_iters
+        assert len(hist) == model.n_epochs
+
+    def test_rows_at_the_upper_bound_converge(self):
+        # the same row with both labels holds alpha at c; its projected
+        # gradient is then max(g, 0) = 0, so the loop stops before max_iters
+        vectors = [sv(0.5, 0.5)] * 2 + [SparseVector(())]
+        model = classifier.train(vectors, [1, -1, 1], c=0.001, tol=1e-9, max_iters=1000)
+        assert model.n_epochs < 1000
 
 
 class TestPredict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -338,6 +339,30 @@ class TestDeterminism:
             harness.run(config)
             outputs.append((out / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_mini_run_output_bytes_are_pinned(self, tmp_path):
+        # The README quick start's matrix. Every float summed on the way to
+        # these files is summed left to right, so each supported Python must
+        # write the same bytes.
+        config = harness.ExperimentConfig(
+            corpus_path=str(mini_corpus_path()),
+            output_dir=str(tmp_path),
+            methods=("none", "ros", "smote", "adasyn", "mco", "emco"),
+            gammas=(1.0,),
+            sampling_ratios=(0.2,),
+            repetitions=5,
+            master_seed=0,
+            workers=1,
+        )
+        harness.run(config)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("results.csv", "aggregate.json")
+        }
+        assert digests == {
+            "results.csv": "8ea6b2f468498ad6c32209d94dad6357efa6e3ea72fbd21b2e527c8c7328aaea",
+            "aggregate.json": "ac3801c436e723a14be65bd23c45e7cc1dd9282c682471ecc8ab37c8fc31fbf6",
+        }
 
 
 class TestGammaSweep:

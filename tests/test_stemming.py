@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from emco import corpus
+from emco.data import mini_corpus_path
 from emco.stemming import PorterStemmer, identity_stemmer
 
 # canonical input/output pairs from the published algorithm description
@@ -110,6 +112,19 @@ def test_idempotent_on_its_own_output(word):
     once = stem(word)
     twice = stem(once)
     assert len(twice) <= len(once)
+
+
+def test_cached_stems_match_fresh_stemmer():
+    # one stemmer over the whole bundled corpus answers repeated words from
+    # its cache; a fresh stemmer per token computes every stem
+    tokens = [
+        tok
+        for doc in corpus.load_corpus_jsonl(mini_corpus_path())
+        for tok in corpus.tokenize(doc.text)
+    ]
+    cached = PorterStemmer()
+    assert len(set(tokens)) < len(tokens)
+    assert [cached(tok) for tok in tokens] == [PorterStemmer()(tok) for tok in tokens]
 
 
 def test_identity_stemmer():
