@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .chain import VocabPartition
-from .metrics import ConfusionCounts, compute_metrics
+from .metrics import ConfusionCounts
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,11 @@ def vocab_expansion_eval(
             empty=True,
         )
 
-    tp = fp = tn = fn = 0
-    for word in v_maj_only:
-        actual = word in test_vocab
-        predicted = word in synthetic_vocab
-        if actual and predicted:
-            tp += 1
-        elif actual:
-            fn += 1
-        elif predicted:
-            fp += 1
-        else:
-            tn += 1
-    counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-
+    counts = ConfusionCounts.from_predictions(
+        [int(word in test_vocab) for word in v_maj_only],
+        [int(word in synthetic_vocab) for word in v_maj_only],
+    )
+    tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
     recall = tp / (tp + fn) if tp + fn else None
     tnr = tn / (tn + fp) if tn + fp else None
     ba = (recall + tnr) / 2 if recall is not None and tnr is not None else None

@@ -15,6 +15,7 @@ at draw time.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -150,8 +151,8 @@ def estimate(
         raise ValueError("minority document set is empty")
     if not all(minority_docs):
         raise ValueError("minority documents must be nonempty")
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
 
     part = VocabPartition.from_corpora(minority_docs, majority_docs)
     stop = part.stop_index

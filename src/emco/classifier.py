@@ -119,7 +119,9 @@ def train(
             break
 
     weights = np.array(w)
-    margins = to_csr(vectors, n_features) @ weights + bias
+    indptr, indices, data = to_csr(vectors)
+    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    margins = np.bincount(row_of, weights=data * weights[indices], minlength=n) + bias
     hinge = np.maximum(0.0, 1.0 - np.array(y) * margins).sum()
     primal = 0.5 * (float(weights @ weights) + bias * bias) + c * float(hinge)
 

@@ -105,7 +105,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args, gammas=[0.0, 0.01, 0.1, 1.0])
-    rows = harness.gamma_sweep(config, config.gammas)
+    rows = harness.gamma_sweep(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"

@@ -418,15 +418,13 @@ def run(config: ExperimentConfig) -> dict:
     return {"rows": rows, "aggregate": aggregate, "manifest": manifest}
 
 
-def gamma_sweep(config: ExperimentConfig, gammas: Sequence[float]) -> list[dict]:
+def gamma_sweep(config: ExperimentConfig) -> list[dict]:
     """Macro recall/tnr/precision of emco per (gamma, ratio, band), from one
-    run of the matrix restricted to emco at ``gammas``."""
-    rows, frequencies, _ = _execute(
-        replace(config, methods=("emco",), gammas=tuple(gammas))
-    )
+    run of the matrix restricted to emco at ``config.gammas``."""
+    rows, frequencies, _ = _execute(replace(config, methods=("emco",)))
     aggregate = aggregate_rows(rows, frequencies)
     sweep_rows = []
-    for gamma in gammas:
+    for gamma in config.gammas:
         for ratio in config.sampling_ratios:
             prefix = f"{method_label('emco', gamma)}|{ratio:g}|"
             sweep_rows += [

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Document
 
@@ -41,11 +40,10 @@ class SparseVector:
         return out
 
     @staticmethod
-    def from_dense(arr: np.ndarray, tol: float = 0.0) -> "SparseVector":
-        entries = tuple(
-            (int(i), float(v)) for i, v in enumerate(arr) if abs(v) > tol
+    def from_dense(arr: np.ndarray) -> "SparseVector":
+        return SparseVector(
+            tuple((int(i), float(v)) for i, v in enumerate(arr) if abs(v) > 0.0)
         )
-        return SparseVector(entries)
 
 
 @dataclass(frozen=True)
@@ -100,8 +98,9 @@ def transform(doc: Document, model: TfidfModel) -> SparseVector:
     return transform_tokens(doc.tokens, model)
 
 
-def to_csr(vectors: Sequence[SparseVector], n_features: int) -> sparse.csr_matrix:
-    """Stack sparse vectors into a CSR matrix."""
+def to_csr(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack sparse vectors into the CSR arrays ``(indptr, indices, data)``;
+    ``indices`` is an integer array even when every vector is empty."""
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
@@ -110,9 +109,7 @@ def to_csr(vectors: Sequence[SparseVector], n_features: int) -> sparse.csr_matri
             indices.append(i)
             data.append(v)
         indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (data, indices, indptr), shape=(len(vectors), n_features)
-    )
+    return np.array(indptr), np.array(indices, dtype=np.intp), np.array(data, dtype=float)
 
 
 def to_dense(vectors: Sequence[SparseVector], n_features: int) -> np.ndarray:

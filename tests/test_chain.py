@@ -102,6 +102,11 @@ class TestEstimate:
         with pytest.raises(ValueError):
             chain.estimate([["a"]], [], gamma=-0.5)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            chain.estimate([["a", "b"]], [["b", "a"]], gamma=gamma)
+
     @given(
         st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), min_size=1, max_size=6),
         st.lists(st.lists(st.sampled_from("cdef"), min_size=1, max_size=6), max_size=6),

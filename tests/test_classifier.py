@@ -95,17 +95,17 @@ def reference_train(vectors, labels, c, tol, max_iters, n_features, seed):
     """The CSR/numpy epoch loop that ``classifier.train`` replaced: the bias is
     an augmented last column of ``w``. Returns (weights, bias)."""
     labels = np.asarray(labels, dtype=float)
-    x = to_csr(vectors, n_features)
-    n = x.shape[0]
-    qii = np.asarray(x.multiply(x).sum(axis=1)).ravel() + 1.0
+    indptr, indices, data = to_csr(vectors)
+    n = len(vectors)
+    rows = [slice(indptr[i], indptr[i + 1]) for i in range(n)]
+    qii = np.array([float(data[r] @ data[r]) for r in rows]) + 1.0
     w = np.zeros(n_features + 1)
     alpha = np.zeros(n)
     rng = np.random.default_rng(seed)
     for _ in range(max_iters):
         max_violation = 0.0
         for i in rng.permutation(n):
-            cols = x.indices[x.indptr[i]:x.indptr[i + 1]]
-            vals = x.data[x.indptr[i]:x.indptr[i + 1]]
+            cols, vals = indices[rows[i]], data[rows[i]]
             g = labels[i] * (float(w[cols] @ vals) + w[-1]) - 1.0
             if alpha[i] == 0.0:
                 pg = min(g, 0.0)

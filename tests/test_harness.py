@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emco
 from emco import chain, classifier, cli, corpus, harness
 from emco.data import mini_corpus_path
 
@@ -322,6 +327,20 @@ class TestTaskState:
         assert sorted(estimated) == sorted(chain_gammas * len(ratios_of))
 
 
+# results.csv and aggregate.json of the README quick start's matrix.
+MINI_RUN_DIGESTS = {
+    "results.csv": "8ea6b2f468498ad6c32209d94dad6357efa6e3ea72fbd21b2e527c8c7328aaea",
+    "aggregate.json": "ac3801c436e723a14be65bd23c45e7cc1dd9282c682471ecc8ab37c8fc31fbf6",
+}
+
+
+def output_digests(out_dir):
+    return {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("results.csv", "aggregate.json")
+    }
+
+
 class TestDeterminism:
     def test_byte_identical_across_worker_counts(self, tmp_path):
         outputs = []
@@ -355,14 +374,28 @@ class TestDeterminism:
             workers=1,
         )
         harness.run(config)
-        digests = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("results.csv", "aggregate.json")
-        }
-        assert digests == {
-            "results.csv": "8ea6b2f468498ad6c32209d94dad6357efa6e3ea72fbd21b2e527c8c7328aaea",
-            "aggregate.json": "ac3801c436e723a14be65bd23c45e7cc1dd9282c682471ecc8ab37c8fc31fbf6",
-        }
+        assert output_digests(tmp_path) == MINI_RUN_DIGESTS
+
+    def test_mini_run_needs_no_scipy(self, tmp_path):
+        # The same matrix through the CLI, in an interpreter where any
+        # import of scipy fails.
+        script = (
+            "import sys; sys.modules['scipy'] = None; "
+            "from emco import cli; sys.exit(cli.main(sys.argv[1:]))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(emco.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        )}
+        result = subprocess.run(
+            [sys.executable, "-c", script, "run", "--corpus", str(mini_corpus_path()),
+             "--output-dir", str(tmp_path),
+             "--methods", "none", "ros", "smote", "adasyn", "mco", "emco",
+             "--gammas", "1.0", "--ratios", "0.2", "--repetitions", "5",
+             "--seed", "0", "--workers", "1"],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert output_digests(tmp_path) == MINI_RUN_DIGESTS
 
 
 class TestGammaSweep:
@@ -373,7 +406,7 @@ class TestGammaSweep:
             sampling_ratios=(0.2,),
             repetitions=1,
         )
-        rows = harness.gamma_sweep(config, [0.0, 1.0])
+        rows = harness.gamma_sweep(replace(config, gammas=(0.0, 1.0)))
         assert {r["gamma"] for r in rows} == {0.0, 1.0}
         for row in rows:
             assert 0.0 <= row["recall"] <= 1.0
@@ -393,7 +426,7 @@ class TestGammaSweep:
             sampling_ratios=(0.1, 0.2),
             repetitions=1,
         )
-        rows = harness.gamma_sweep(config, [1.0, 0.0])
+        rows = harness.gamma_sweep(replace(config, gammas=(1.0, 0.0)))
         assert [(c.methods, c.gammas) for c in configs] == [(("emco",), (1.0, 0.0))]
         keys = [(r["gamma"], r["sampling_ratio"], r["band"]) for r in rows]
         assert {k[:2] for k in keys} == {(1.0, "0.1"), (1.0, "0.2"), (0.0, "0.1"), (0.0, "0.2")}
@@ -577,6 +610,17 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["vocab-eval", "--corpus", str(path), "--category", "new"])
         assert exc.value.code == "error: category 'new' has no training document"
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_vocab_eval_rejects_non_finite_gamma(self, capsys, gamma):
+        rc = cli.main([
+            "vocab-eval", "--corpus", str(mini_corpus_path()),
+            "--category", "low", "--gamma", gamma,
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gamma must be finite and nonnegative, got {gamma}\n"
 
     def test_missing_corpus_is_clean_error(self, tmp_path, capsys):
         rc = cli.main([

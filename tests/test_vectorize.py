@@ -98,8 +98,13 @@ class TestSparseVector:
         assert vectorize.SparseVector.from_dense(vec.to_dense(5)) == vec
 
     def test_to_csr_shape(self):
-        vecs = [vectorize.SparseVector(((0, 1.0),)), vectorize.SparseVector(())]
-        mat = vectorize.to_csr(vecs, 3)
-        assert mat.shape == (2, 3)
-        assert mat[0, 0] == 1.0 and mat[1].nnz == 0
+        vecs = [vectorize.SparseVector(((0, 1.0), (2, -0.5))), vectorize.SparseVector(())]
+        indptr, indices, data = vectorize.to_csr(vecs)
+        assert indptr.tolist() == [0, 2, 2]
+        assert indices.tolist() == [0, 2] and data.tolist() == [1.0, -0.5]
+        indptr, indices, data = vectorize.to_csr([vectorize.SparseVector(())] * 2)
+        assert indptr.tolist() == [0, 0, 0]
+        assert indices.size == data.size == 0
+        assert np.issubdtype(indices.dtype, np.integer)
+        assert np.issubdtype(indptr.dtype, np.integer)
 
