@@ -122,16 +122,6 @@ def vocab_expansion_eval(
     test_vocab = {w for doc in minority_test_docs for w in doc}
     new_words = len(synthetic_vocab - v_min)
 
-    if not v_maj_only:
-        return VocabExpansionReport(
-            counts=ConfusionCounts(0, 0, 0, 0),
-            recall=None,
-            tnr=None,
-            ba=None,
-            new_synthetic_words=new_words,
-            empty=True,
-        )
-
     counts = ConfusionCounts.from_predictions(
         [int(word in test_vocab) for word in v_maj_only],
         [int(word in synthetic_vocab) for word in v_maj_only],
@@ -146,6 +136,7 @@ def vocab_expansion_eval(
         tnr=tnr,
         ba=ba,
         new_synthetic_words=new_words,
+        empty=not v_maj_only,
     )
 
 

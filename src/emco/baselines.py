@@ -41,6 +41,21 @@ class NeighborIndex:
         return order[:k]
 
 
+def _minority_k(name: str, n: int, k: int) -> int:
+    """Neighbors per minority point, k capped at n - 1, after checking n and k."""
+    if n < 2:
+        raise ValueError(f"{name} needs at least two minority vectors")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return min(k, n - 1)
+
+
+def _neighbor_orders(points: np.ndarray, n: int) -> list[np.ndarray]:
+    """For each of the first n rows, every other row from nearest to farthest."""
+    index = NeighborIndex(points)
+    return [index.query(points[i], len(points) - 1, exclude=i) for i in range(n)]
+
+
 def _interpolate(
     minority: Sequence[SparseVector],
     neighbors: Sequence[np.ndarray],
@@ -92,14 +107,8 @@ def smote(
     minority sample is small).
     """
     n = len(minority)
-    if n < 2:
-        raise ValueError("smote needs at least two minority vectors")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    k_eff = min(k, n - 1)
-    points = to_dense(minority, n_features)
-    index = NeighborIndex(points)
-    neighbors = [index.query(points[i], k_eff, exclude=i) for i in range(n)]
+    k_min = _minority_k("smote", n, k)
+    neighbors = [o[:k_min] for o in _neighbor_orders(to_dense(minority, n_features), n)]
     return _interpolate(minority, neighbors, [j % n for j in range(count)], rng)
 
 
@@ -136,30 +145,16 @@ def adasyn(
     the fraction of its k nearest neighbors (over the full training set) that
     belong to the majority class. When every share is zero the budget is
     split uniformly. Interpolation itself runs among minority neighbors as
-    in SMOTE.
+    in SMOTE. They are the minority entries of the point's full-set order,
+    which come in the minority-only order: each distance is the same in both
+    sets, and ties go to the lower index in both.
     """
     n = len(minority)
-    if n < 2:
-        raise ValueError("adasyn needs at least two minority vectors")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
+    k_min = _minority_k("adasyn", n, k)
     all_points = to_dense([*minority, *majority], n_features)
-    min_points = all_points[:n]
     k_all = min(k, len(all_points) - 1)
-    full_index = NeighborIndex(all_points)
-
-    ratios = np.empty(n)
-    for i in range(n):
-        nn = full_index.query(all_points[i], k_all, exclude=i)
-        ratios[i] = np.count_nonzero(nn >= n) / k_all
-
-    if ratios.sum() > 0:
-        allot = largest_remainder(ratios, count)
-    else:
-        allot = largest_remainder(np.ones(n), count)
-
-    k_min = min(k, n - 1)
-    min_index = NeighborIndex(min_points)
-    neighbors = [min_index.query(min_points[i], k_min, exclude=i) for i in range(n)]
+    orders = _neighbor_orders(all_points, n)
+    ratios = np.array([np.count_nonzero(order[:k_all] >= n) / k_all for order in orders])
+    allot = largest_remainder(ratios if ratios.sum() > 0 else np.ones(n), count)
+    neighbors = [order[order < n][:k_min] for order in orders]
     return _interpolate(minority, neighbors, np.repeat(np.arange(n), allot), rng)

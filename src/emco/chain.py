@@ -16,7 +16,7 @@ at draw time.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,10 +46,7 @@ class VocabPartition:
         majority_docs: Sequence[Sequence[str]],
     ) -> "VocabPartition":
         v_min = sorted({w for doc in minority_docs for w in doc})
-        min_set = set(v_min)
-        v_maj_only = sorted(
-            {w for doc in majority_docs for w in doc} - min_set
-        )
+        v_maj_only = sorted({w for doc in majority_docs for w in doc}.difference(v_min))
         return cls(words=tuple(v_min + v_maj_only), n_min=len(v_min))
 
     @property
@@ -69,9 +66,6 @@ class VocabPartition:
 
     def is_min(self, idx: int) -> bool:
         return idx < self.n_min
-
-    def is_maj_only(self, idx: int) -> bool:
-        return self.n_min <= idx < len(self.words)
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ class TransitionModel:
         """Row as estimated, without the zero-mass fallback (for inspection)."""
         if idx == self.partition.stop_index:
             return self.stop_row
-        if self.partition.is_maj_only(idx):
+        if idx >= self.partition.n_min:  # majority-only word
             return self.marginal_row
         return self.min_rows.get(idx, _EMPTY_ROW)
 
@@ -155,28 +149,27 @@ def estimate(
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
 
     part = VocabPartition.from_corpora(minority_docs, majority_docs)
-    stop = part.stop_index
+    index, n_min = part._index, part.n_min
 
-    transitions: dict[int, Counter[int]] = {}
+    # minority counts before gamma terms, in document order: fixed float sums
+    transitions: defaultdict[int, Counter[int]] = defaultdict(Counter)
     initial: Counter[int] = Counter()
     marginal: Counter[int] = Counter()
-    lengths = []
 
     for doc in minority_docs:
-        ids = [part.index(w) for w in doc]
-        lengths.append(len(ids))
+        ids = [index[w] for w in doc]
         initial[ids[0]] += 1
-        for a, b in zip(ids, ids[1:]):
-            transitions.setdefault(a, Counter())[b] += 1
-        transitions.setdefault(ids[-1], Counter())[stop] += 1
         marginal.update(ids)
+        ids.append(part.stop_index)  # the last word's pair is its end
+        for a, b in zip(ids, ids[1:]):
+            transitions[a][b] += 1
 
     if gamma > 0:
         for doc in majority_docs:
-            ids = [part.index(w) for w in doc]
+            ids = [index[w] for w in doc]
             for a, b in zip(ids, ids[1:]):
-                if part.is_min(a):
-                    transitions.setdefault(a, Counter())[b] += gamma
+                if a < n_min:
+                    transitions[a][b] += gamma
 
     for i, row in transitions.items():
         row.pop(i, None)  # self-transitions are zeroed
@@ -184,7 +177,7 @@ def estimate(
     return TransitionModel(
         partition=part,
         gamma=gamma,
-        lengths=tuple(lengths),
+        lengths=tuple(map(len, minority_docs)),
         min_rows={i: _make_row(row) for i, row in transitions.items()},
         stop_row=_make_row(initial),
         marginal_row=_make_row(marginal),

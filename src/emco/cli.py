@@ -47,7 +47,11 @@ def _build_config(args: argparse.Namespace, **defaults) -> harness.ExperimentCon
     base: dict = dict(defaults)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            base.update(json.load(handle))
+            loaded = json.load(handle)
+        if not isinstance(loaded, dict):
+            kind = type(loaded).__name__
+            raise ValueError(f"config file must hold a JSON object, got {kind}")
+        base.update(loaded)
     for f in fields(harness.ExperimentConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -161,16 +165,17 @@ def cmd_vocab_eval(args: argparse.Namespace) -> int:
     task = by_cat[args.category]
     if not task.train_minority:
         raise SystemExit(f"error: category {args.category!r} has no training document")
+    gamma = args.gamma + 0.0  # -0.0 becomes 0.0: the seed and report of gamma 0
     model = chain.estimate(
         [d.tokens for d in task.train_minority],
         [d.tokens for d in task.train_majority],
-        args.gamma,
+        gamma,
     )
     s = harness.synthetic_count(
         len(corpus.training_documents(docs)), len(task.train_minority), args.ratio
     )
     rng = np.random.default_rng(
-        harness.derive_seed(args.seed, args.category, "vocab-eval", args.gamma)
+        harness.derive_seed(args.seed, args.category, "vocab-eval", gamma)
     )
     synthetic = chain.oversample(model, s, rng)
     minority_test = [
@@ -180,7 +185,7 @@ def cmd_vocab_eval(args: argparse.Namespace) -> int:
     json.dump(
         {
             "category": args.category,
-            "gamma": args.gamma,
+            "gamma": gamma,
             "sampling_ratio": args.ratio,
             "synthetic_documents": s,
             "majority_only_words": len(model.partition.v_maj_only),

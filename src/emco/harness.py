@@ -86,8 +86,9 @@ class ExperimentConfig:
                 raise ValueError(f"config key {key!r} must be > 0, got {value}")
 
         # Seeds and labels are derived from str(gamma) and f"{gamma:g}", so an
-        # int gamma must become a float to give the same results as 1.0.
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        # int gamma must become a float to give the same results as 1.0, and
+        # -0.0 must become 0.0 (adding 0.0 does that).
+        object.__setattr__(self, "gammas", tuple(float(g) + 0.0 for g in self.gammas))
         for gamma in self.gammas:
             if not (math.isfinite(gamma) and gamma >= 0):
                 raise ValueError(
@@ -124,11 +125,6 @@ class ExperimentConfig:
                     )
                 obj[key] = tuple(obj[key])
         return ExperimentConfig(**obj)
-
-    @staticmethod
-    def from_json(path: str | Path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return ExperimentConfig.from_dict(json.load(handle))
 
 
 def _check_type(key: str, value, kind: type, description: str) -> None:

@@ -252,6 +252,23 @@ def random_sparse(rng, n, d):
     return vectors
 
 
+def disjoint_units(rng, n_min, n_maj):
+    """Minority and majority unit vectors with disjoint supports, each one
+    entry of +-1 or four of +-0.5: any two lie exactly sqrt(2) apart, so
+    every neighbor order is decided by the lower-index tie rule."""
+    n = n_min + n_maj
+    columns = rng.permutation(4 * n)
+    vectors = []
+    for i in range(n):
+        size = int(rng.choice([1, 4]))
+        support = sorted(int(c) for c in columns[4 * i : 4 * i + size])
+        signs = rng.choice([-1.0, 1.0], size=size)
+        vectors.append(SparseVector(tuple(
+            (col, sign / size ** 0.5) for col, sign in zip(support, signs)
+        )))
+    return vectors[:n_min], vectors[n_min:], 4 * n
+
+
 class TestSparseInterpolation:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("make_rng", [np.random.default_rng, HalfStep])
@@ -273,6 +290,19 @@ class TestSparseInterpolation:
         got = baselines.adasyn(minority, majority, count, 4, make_rng(seed + 200), 10)
         want = dense_adasyn(minority, majority, count, 4, make_rng(seed + 200), 10)
         assert got == want
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("make_rng", [np.random.default_rng, HalfStep])
+    def test_ties_at_sqrt2_match_dense_loops(self, seed, make_rng):
+        rng = np.random.default_rng(seed)
+        minority, majority, d = disjoint_units(
+            rng, int(rng.integers(3, 9)), int(rng.integers(3, 20))
+        )
+        count = int(rng.integers(0, 40))
+        got = baselines.smote(minority, count, 3, make_rng(seed + 300), d)
+        assert got == dense_smote(minority, count, 3, make_rng(seed + 300), d)
+        got = baselines.adasyn(minority, majority, count, 4, make_rng(seed + 400), d)
+        assert got == dense_adasyn(minority, majority, count, 4, make_rng(seed + 400), d)
 
     def test_cancelled_coordinates_are_dropped(self):
         minority = [sv(1, -2, 10), sv(-1, 2, 10), SparseVector(())]

@@ -224,6 +224,58 @@ class TestSampling:
 
 
 
+def reference_estimate(minority_docs, majority_docs, gamma):
+    """The two-pass estimate the one-pass ``chain.estimate`` replaced: a
+    ``VocabPartition.index`` call per token and a stop pair per document."""
+    part = chain.VocabPartition.from_corpora(minority_docs, majority_docs)
+    stop = part.stop_index
+    transitions, initial, marginal, lengths = {}, Counter(), Counter(), []
+    for doc in minority_docs:
+        ids = [part.index(w) for w in doc]
+        lengths.append(len(ids))
+        initial[ids[0]] += 1
+        for a, b in zip(ids, ids[1:]):
+            transitions.setdefault(a, Counter())[b] += 1
+        transitions.setdefault(ids[-1], Counter())[stop] += 1
+        marginal.update(ids)
+    if gamma > 0:
+        for doc in majority_docs:
+            ids = [part.index(w) for w in doc]
+            for a, b in zip(ids, ids[1:]):
+                if part.is_min(a):
+                    transitions.setdefault(a, Counter())[b] += gamma
+    for i, row in transitions.items():
+        row.pop(i, None)
+    return chain.TransitionModel(
+        partition=part,
+        gamma=gamma,
+        lengths=tuple(lengths),
+        min_rows={i: chain._make_row(row) for i, row in transitions.items()},
+        stop_row=chain._make_row(initial),
+        marginal_row=chain._make_row(marginal),
+    )
+
+
+class TestOnePassEstimate:
+    @given(
+        st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=12),
+                 min_size=1, max_size=8),
+        st.lists(st.lists(st.sampled_from("defghij"), min_size=1, max_size=12),
+                 max_size=8),
+        st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    )
+    @settings(max_examples=150)
+    def test_rows_equal_the_two_pass_reference(self, minority, majority, gamma):
+        got = chain.estimate(minority, majority, gamma)
+        want = reference_estimate(minority, majority, gamma)
+        assert got.partition == want.partition
+        assert np.array_equal(got.lengths, want.lengths)
+        for i in range(want.partition.stop_index + 1):
+            g, w = got.stored_row(i), want.stored_row(i)
+            for name in ("indices", "weights", "cumsum"):
+                assert np.array_equal(getattr(g, name), getattr(w, name)), (i, name)
+
+
 MINORITY_DOCS = st.lists(
     st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), min_size=1, max_size=5
 )

@@ -68,7 +68,7 @@ class TestConfig:
             "sampling_ratios": [0.2],
             "repetitions": 2,
         }))
-        config = harness.ExperimentConfig.from_json(path)
+        config = harness.ExperimentConfig.from_dict(json.loads(path.read_text()))
         assert config.methods == ("none", "ros")
         assert config.gammas == (0.1, 1.0)
         assert config.sampling_ratios == (0.2,)
@@ -87,6 +87,23 @@ class TestConfig:
             }))
             bodies.append((out / "results.csv").read_bytes())
         assert bodies[0] == bodies[1]
+
+    def test_negative_zero_gamma_is_gamma_zero(self, tmp_path):
+        config = harness.ExperimentConfig(corpus_path="x", gammas=(-0.0,))
+        assert [str(g) for g in config.gammas] == ["0.0"]  # -0.0 == 0.0 holds either way
+        outputs = []
+        for gamma in ("0", "-0"):
+            out = tmp_path / gamma
+            assert cli.main([
+                "run", "--corpus", str(mini_corpus_path()), "--output-dir", str(out),
+                "--methods", "emco", "--gammas", gamma, "--ratios", "0.2",
+                "--repetitions", "1",
+            ]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("results.csv", "aggregate.json")])
+        assert outputs[0] == outputs[1]
+        aggregate = json.loads(outputs[1][1])
+        assert aggregate and all(key.startswith("emco(gamma=0)|") for key in aggregate)
 
 
 class TestDeriveSeed:
@@ -376,16 +393,19 @@ class TestDeterminism:
         harness.run(config)
         assert output_digests(tmp_path) == MINI_RUN_DIGESTS
 
-    def test_mini_run_needs_no_scipy(self, tmp_path):
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_mini_run_needs_no_scipy(self, tmp_path, hash_seed):
         # The same matrix through the CLI, in an interpreter where any
-        # import of scipy fails.
+        # import of scipy fails. The bytes must not depend on the string
+        # hash seed (set and dict-of-str iteration order).
         script = (
             "import sys; sys.modules['scipy'] = None; "
             "from emco import cli; sys.exit(cli.main(sys.argv[1:]))"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(emco.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        )}
+        )
         result = subprocess.run(
             [sys.executable, "-c", script, "run", "--corpus", str(mini_corpus_path()),
              "--output-dir", str(tmp_path),
@@ -508,11 +528,18 @@ class TestCli:
          "error: sampling_ratios 0.2 and 0.2 share the label '0.2'"),
         ({"gammas": [1, 1.0]}, "error: gammas 1.0 and 1.0 share the label '1'"),
         ({"methods": ["ros", "none", "ros"]}, "error: method 'ros' is repeated"),
+        ({"gammas": [0, -0.0]}, "error: gammas 0.0 and 0.0 share the label '0'"),
+        ([1, 2], "error: config file must hold a JSON object, got list"),
+        (5, "error: config file must hold a JSON object, got int"),
+        (None, "error: config file must hold a JSON object, got NoneType"),
+        ("abc", "error: config file must hold a JSON object, got str"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, extra, message):
         config_path = tmp_path / "config.json"
+        # a dict is merged into a valid config; anything else is the whole file
         config_path.write_text(json.dumps(
             {"corpus_path": str(mini_corpus_path()), **extra}
+            if isinstance(extra, dict) else extra
         ))
         rc = cli.main([
             "run", "--config", str(config_path),
@@ -621,6 +648,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: gamma must be finite and nonnegative, got {gamma}\n"
+
+    def test_vocab_eval_negative_zero_gamma_reports_gamma_zero(self, capsys):
+        reports = []
+        for gamma in ("0", "-0.0"):
+            assert cli.main([
+                "vocab-eval", "--corpus", str(mini_corpus_path()),
+                "--category", "low", f"--gamma={gamma}",
+            ]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert '"gamma": 0.0,' in reports[1]
 
     def test_missing_corpus_is_clean_error(self, tmp_path, capsys):
         rc = cli.main([
