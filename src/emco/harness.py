@@ -22,11 +22,11 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -84,6 +84,16 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not value > 0:
                 raise ValueError(f"config key {key!r} must be > 0, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"config key {key!r} must be finite and > 0, got {value}"
+                )
+        # _run_jobs forks the workers after the first
+        if self.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError(
+                f"config key 'workers' must be 1 where processes cannot fork, "
+                f"got {self.workers}"
+            )
 
         # Seeds and labels are derived from str(gamma) and f"{gamma:g}", so an
         # int gamma must become a float to give the same results as 1.0, and
@@ -361,8 +371,8 @@ def _execute(
     def run_job(job):
         return _run_one(prepared, *job, config)
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        rows = [row for job_rows in pool.map(run_job, jobs) for row in job_rows]
+    results = _run_jobs(run_job, jobs, config.workers)
+    rows = [row for job_rows in results for row in job_rows]
     rows.sort(
         key=lambda r: (
             r["sampling_ratio"], r["category"], r["method"], r["gamma"],
@@ -370,6 +380,72 @@ def _execute(
         )
     )
     return rows, frequencies, skipped
+
+
+def _run_jobs(run_job: Callable, jobs: list, workers: int) -> list:
+    """``run_job`` of every job, in job order, on ``min(workers, len(jobs))``
+    processes.
+
+    The calling process is worker 0 and forks the others, so they inherit
+    ``run_job`` and the jobs without pickling. Every worker takes the next job
+    index from one shared counter. A child sends its ``(index, result)`` pairs
+    back through a pipe once the counter runs out, or the exception its job
+    raised, which is raised again here. One worker forks nothing and runs the
+    same loop.
+    """
+    n_children = min(workers, len(jobs)) - 1
+    context = multiprocessing.get_context("fork" if n_children > 0 else None)
+    next_index = context.Value("q", 0)
+
+    def work() -> list:
+        done = []
+        while True:
+            with next_index.get_lock():
+                index = next_index.value
+                next_index.value += 1
+            if index >= len(jobs):
+                return done
+            done.append((index, run_job(jobs[index])))
+
+    def report(writer) -> None:
+        try:
+            message = ("done", work())
+        except Exception as error:
+            message = ("raised", error)
+        writer.send(message)
+
+    children = []
+    try:
+        for _ in range(n_children):
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=report, args=(writer,), daemon=True)
+            child.start()
+            # closed here, the pipe reports EOF as soon as the child dies
+            writer.close()
+            children.append((child, reader))
+        done = work()
+        for child, reader in children:
+            try:
+                status, payload = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"worker process exited with code {child.exitcode} "
+                    f"before reporting its jobs"
+                ) from None
+            if status == "raised":
+                raise payload
+            done += payload
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, reader in children:
+            child.join()
+            reader.close()
+    done.sort(key=lambda pair: pair[0])
+    return [result for _, result in done]
 
 
 def aggregate_rows(

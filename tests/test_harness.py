@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
 import json
+import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,18 +21,30 @@ from emco import chain, classifier, cli, corpus, harness
 from emco.data import mini_corpus_path
 
 
-def record_training(monkeypatch):
-    """Route classifier.train through a recorder; returns the list of
+def record_training(monkeypatch, tmp_path):
+    """Route classifier.train through a recorder that sees the calls of every
+    worker process; returns a function that reads the list of
     (vectors, labels) it was called with."""
-    calls = []
+    path = tmp_path / "train_calls.pickle"
     real = classifier.train
 
     def train(vectors, labels, **kwargs):
-        calls.append((list(vectors), list(labels)))
+        # one unbuffered append per call, so records of two processes never
+        # interleave
+        with open(path, "ab", buffering=0) as handle:
+            handle.write(pickle.dumps((list(vectors), list(labels))))
         return real(vectors, labels, **kwargs)
 
+    def read_calls():
+        calls = []
+        if path.exists():
+            with open(path, "rb") as handle:
+                while handle.peek(1):
+                    calls.append(pickle.load(handle))
+        return calls
+
     monkeypatch.setattr(classifier, "train", train)
-    return calls
+    return read_calls
 
 
 def write_test_only_category_corpus(tmp_path):
@@ -252,7 +269,7 @@ class TestRun:
 
 
 class TestTaskState:
-    def test_shared_id_is_labeled_by_category(self, monkeypatch):
+    def test_shared_id_is_labeled_by_category(self, monkeypatch, tmp_path):
         c_text = "wheat grain export wheat grain export"
         x_text = "bank market price bank market price"
         docs = [{"id": "dup", "text": c_text, "labels": ["c"], "split": "train"},
@@ -275,8 +292,9 @@ class TestTaskState:
         assert expected.count(1) == 2
         c_vectors = {v for y, v in zip(expected, prepared.train_vectors) if y == 1}
 
-        calls = record_training(monkeypatch)
+        read_calls = record_training(monkeypatch, tmp_path)
         rows, _, _ = harness._execute(config, prepared)
+        calls = read_calls()
         assert {r["category"] for r in rows} == {"c"}
         assert len(calls) == 2
         n = len(expected)
@@ -297,7 +315,7 @@ class TestTaskState:
         assert "skipping task new at ratio 0.2: no training document" in caplog.text
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_none_trains_once_per_category_and_rep(self, monkeypatch, workers):
+    def test_none_trains_once_per_category_and_rep(self, monkeypatch, tmp_path, workers):
         config = harness.ExperimentConfig(
             corpus_path=str(mini_corpus_path()),
             methods=("none",),
@@ -305,8 +323,9 @@ class TestTaskState:
             repetitions=2,
             workers=workers,
         )
-        calls = record_training(monkeypatch)
+        read_calls = record_training(monkeypatch, tmp_path)
         rows, _, _ = harness._execute(config)
+        calls = read_calls()
         pairs = {(r["category"], r["repetition"]) for r in rows}
         assert len(calls) == len(pairs)
         assert len(rows) > len(pairs)  # some rows are copies at a second ratio
@@ -342,6 +361,124 @@ class TestTaskState:
             ratios_of.setdefault(row["category"], set()).add(row["sampling_ratio"])
         assert max(len(r) for r in ratios_of.values()) == 2  # one category at both
         assert sorted(estimated) == sorted(chain_gammas * len(ratios_of))
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="more than one worker needs the fork start method",
+)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def two_job_config(path, workers):
+    """The test-only-category corpus gives ``none`` one qualifying category
+    at ratio 0.2, so two repetitions make two jobs."""
+    return harness.ExperimentConfig(
+        corpus_path=str(path), methods=("none",), sampling_ratios=(0.2,),
+        repetitions=2, workers=workers,
+    )
+
+
+def run_one_in_child(monkeypatch, tmp_path, child_job, parent_job=None):
+    """Patch harness._run_one so that a forked worker calls ``child_job``
+    instead, and the parent ``parent_job`` if given. The parent's job waits
+    until a child has started one, so the child is sure to get one of the
+    two jobs."""
+    parent = os.getpid()
+    started = tmp_path / "child-started"
+    real = harness._run_one
+
+    def run_one(*args):
+        if os.getpid() != parent:
+            started.touch()
+            return child_job()
+        while not started.exists():
+            time.sleep(0.01)
+        return parent_job() if parent_job else real(*args)
+
+    monkeypatch.setattr(harness, "_run_one", run_one)
+
+
+def record_starts(monkeypatch):
+    """The list of processes started from now on."""
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def start(process):
+        started.append(process)
+        real_start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return started
+
+
+class TestWorkerProcesses:
+    @needs_fork
+    def test_job_error_in_a_child_is_raised_as_is(self, monkeypatch, tmp_path):
+        def fail():
+            raise ValueError("bad job in a child")
+
+        run_one_in_child(monkeypatch, tmp_path, fail)
+        config = two_job_config(write_test_only_category_corpus(tmp_path), 2)
+        with deadline(60), pytest.raises(ValueError, match="^bad job in a child$"):
+            harness._execute(config)
+
+    @needs_fork
+    def test_child_dying_without_report_is_runtime_error(self, monkeypatch, tmp_path):
+        run_one_in_child(monkeypatch, tmp_path, lambda: os._exit(3))
+        config = two_job_config(write_test_only_category_corpus(tmp_path), 2)
+        with deadline(60), pytest.raises(RuntimeError, match="exited with code 3 "):
+            harness._execute(config)
+
+    @needs_fork
+    def test_parent_job_error_stops_the_children(self, monkeypatch, tmp_path):
+        def fail():
+            raise ValueError("bad job in the parent")
+
+        run_one_in_child(monkeypatch, tmp_path, lambda: time.sleep(600), fail)
+        started = record_starts(monkeypatch)
+        config = two_job_config(write_test_only_category_corpus(tmp_path), 2)
+        with deadline(60), pytest.raises(ValueError, match="^bad job in the parent$"):
+            harness._execute(config)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    @needs_fork
+    @pytest.mark.parametrize("workers, forks", [(1, 0), (8, 1)])
+    def test_forks_at_most_one_child_per_extra_job(
+        self, monkeypatch, tmp_path, workers, forks
+    ):
+        started = record_starts(monkeypatch)
+        config = two_job_config(write_test_only_category_corpus(tmp_path), workers)
+        rows, _, _ = harness._execute(config)
+        assert [r["repetition"] for r in rows] == [0, 1]
+        assert len(started) == forks
+        assert not any(process.is_alive() for process in started)
+
+    def test_more_than_one_worker_needs_fork(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        path = write_test_only_category_corpus(tmp_path)
+        rc = cli.main(["run", "--corpus", str(path), "--workers", "2",
+                       "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'workers' must be 1 where processes cannot fork, got 2\n"
+        )
+        rows, _, _ = harness._execute(two_job_config(path, 1))
+        assert len(rows) == 2
 
 
 # results.csv and aggregate.json of the README quick start's matrix.
@@ -533,6 +670,8 @@ class TestCli:
         (5, "error: config file must hold a JSON object, got int"),
         (None, "error: config file must hold a JSON object, got NoneType"),
         ("abc", "error: config file must hold a JSON object, got str"),
+        ({"c": float("inf")}, "error: config key 'c' must be finite and > 0, got inf"),
+        ({"tol": float("inf")}, "error: config key 'tol' must be finite and > 0, got inf"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, extra, message):
         config_path = tmp_path / "config.json"
