@@ -9,15 +9,23 @@ starts and ends; rows for majority-only words fall back to the minority
 marginal word distribution. gamma=0 recovers plain Markov-chain oversampling
 confined to the minority vocabulary.
 
-Weights are stored unnormalized in per-row sparse form and normalized lazily
-at draw time.
+Weights are stored unnormalized, one sparse row per state: a tuple of the
+sorted target states, an ``array("d")`` of their weights and one of the
+running sums, added left to right as ``np.cumsum`` adds them. A draw is
+``bisect_right(running sums, u * total)`` for one ``rng.random()`` u, clamped
+to the last target, so it picks the target that ``np.searchsorted(...,
+side="right")`` picks. Rows are built with no numpy call; ``indices`` and
+``weights`` are read as numpy arrays only for inspection.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -68,25 +76,34 @@ class VocabPartition:
         return idx < self.n_min
 
 
-@dataclass(frozen=True)
 class _Row:
-    indices: np.ndarray  # column indices, int, sorted
-    weights: np.ndarray  # positive weights aligned with indices
-    cumsum: np.ndarray = field(init=False, repr=False, compare=False)
+    """One sampling row: sorted target states, their positive weights and the
+    running sums of those weights, all kept as Python sequences."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "cumsum", np.cumsum(self.weights))
+    __slots__ = ("targets", "weight_values", "cumsum", "total")
+
+    def __init__(self, targets: tuple[int, ...], weights: array):
+        self.targets = targets  # state indices, sorted
+        self.weight_values = weights  # array("d"), aligned with targets
+        # left to right, as np.cumsum adds, so the floats are the same
+        self.cumsum = array("d", accumulate(weights))
+        self.total = self.cumsum[-1] if targets else 0.0
 
     @property
-    def total(self) -> float:
-        return float(self.cumsum[-1]) if len(self.cumsum) else 0.0
+    def indices(self) -> np.ndarray:
+        return np.array(self.targets, dtype=np.int64)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.frombuffer(self.weight_values)
 
     def draw(self, rng: np.random.Generator) -> int:
-        pos = int(np.searchsorted(self.cumsum, rng.random() * self.total, side="right"))
-        return int(self.indices[min(pos, len(self.indices) - 1)])
+        pos = bisect_right(self.cumsum, rng.random() * self.total)
+        targets = self.targets
+        return targets[pos] if pos < len(targets) else targets[-1]
 
 
-_EMPTY_ROW = _Row(np.empty(0, dtype=np.int64), np.empty(0))
+_EMPTY_ROW = _Row((), array("d"))
 
 
 @dataclass(frozen=True)
@@ -112,27 +129,27 @@ class TransitionModel:
 
     def stored_row(self, idx: int) -> _Row:
         """Row as estimated, without the zero-mass fallback (for inspection)."""
-        if idx == self.partition.stop_index:
+        part = self.partition
+        if idx < part.n_min:
+            return self.min_rows.get(idx, _EMPTY_ROW)
+        if idx == part.stop_index:
             return self.stop_row
-        if idx >= self.partition.n_min:  # majority-only word
-            return self.marginal_row
-        return self.min_rows.get(idx, _EMPTY_ROW)
+        return self.marginal_row  # majority-only word
 
     def weight(self, i: int, j: int) -> float:
         """Unnormalized stored weight from state i to state j."""
         row = self.stored_row(i)
-        pos = np.searchsorted(row.indices, j)
-        if pos < len(row.indices) and row.indices[pos] == j:
-            return float(row.weights[pos])
+        pos = bisect_left(row.targets, j)
+        if pos < len(row.targets) and row.targets[pos] == j:
+            return row.weight_values[pos]
         return 0.0
 
 
 def _make_row(counts: dict[int, float]) -> _Row:
-    items = sorted((i, w) for i, w in counts.items() if w > 0)
-    if not items:
+    targets = tuple(sorted([i for i, w in counts.items() if w > 0]))
+    if not targets:
         return _EMPTY_ROW
-    idx, w = zip(*items)
-    return _Row(np.asarray(idx, dtype=np.int64), np.asarray(w, dtype=float))
+    return _Row(targets, array("d", map(counts.__getitem__, targets)))
 
 
 def estimate(
@@ -151,34 +168,45 @@ def estimate(
     part = VocabPartition.from_corpora(minority_docs, majority_docs)
     index, n_min = part._index, part.n_min
 
-    # minority counts before gamma terms, in document order: fixed float sums
-    transitions: defaultdict[int, Counter[int]] = defaultdict(Counter)
-    initial: Counter[int] = Counter()
+    # minority counts before gamma terms, in document order: fixed float sums.
+    # Every minority word is followed by a word or by the stop state, so each
+    # has a row.
+    transitions: list[dict[int, float]] = [{} for _ in range(n_min)]
+    initial: dict[int, int] = {}
     marginal: Counter[int] = Counter()
 
     for doc in minority_docs:
         ids = [index[w] for w in doc]
-        initial[ids[0]] += 1
+        initial[ids[0]] = initial.get(ids[0], 0) + 1
         marginal.update(ids)
         ids.append(part.stop_index)  # the last word's pair is its end
         for a, b in zip(ids, ids[1:]):
-            transitions[a][b] += 1
+            row = transitions[a]
+            row[b] = row.get(b, 0) + 1
 
     if gamma > 0:
         for doc in majority_docs:
             ids = [index[w] for w in doc]
             for a, b in zip(ids, ids[1:]):
                 if a < n_min:
-                    transitions[a][b] += gamma
+                    row = transitions[a]
+                    row[b] = row.get(b, 0) + gamma
 
-    for i, row in transitions.items():
+    min_rows = {}
+    for i, row in enumerate(transitions):
         row.pop(i, None)  # self-transitions are zeroed
+        min_rows[i] = _make_row(row)
+        if not math.isfinite(min_rows[i].total):
+            raise ValueError(
+                f"gamma {gamma} overflows the transition weights of word "
+                f"{part.words[i]!r} to infinity"
+            )
 
     return TransitionModel(
         partition=part,
         gamma=gamma,
         lengths=tuple(map(len, minority_docs)),
-        min_rows={i: _make_row(row) for i, row in transitions.items()},
+        min_rows=min_rows,
         stop_row=_make_row(initial),
         marginal_row=_make_row(marginal),
     )
@@ -196,15 +224,13 @@ def sample_document(
     """
     if length is None:
         length = int(model.lengths[rng.integers(len(model.lengths))])
-    part = model.partition
-    stop = part.stop_index
-    current = stop
+    words, row = model.partition.words, model.row
+    stop = current = model.partition.stop_index
     out: list[str] = []
     while len(out) < length:
-        nxt = model.row(current).draw(rng)
-        if nxt != stop:
-            out.append(part.words[nxt])
-        current = nxt
+        current = row(current).draw(rng)
+        if current != stop:
+            out.append(words[current])
     return out
 
 

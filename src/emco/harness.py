@@ -22,7 +22,6 @@ import hashlib
 import json
 import logging
 import math
-import multiprocessing
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -89,11 +88,14 @@ class ExperimentConfig:
                     f"config key {key!r} must be finite and > 0, got {value}"
                 )
         # _run_jobs forks the workers after the first
-        if self.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"config key 'workers' must be 1 where processes cannot fork, "
-                f"got {self.workers}"
-            )
+        if self.workers > 1:
+            import multiprocessing  # ~8 ms, so imported only where it is used
+
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise ValueError(
+                    f"config key 'workers' must be 1 where processes cannot fork, "
+                    f"got {self.workers}"
+                )
 
         # Seeds and labels are derived from str(gamma) and f"{gamma:g}", so an
         # int gamma must become a float to give the same results as 1.0, and
@@ -393,6 +395,8 @@ def _run_jobs(run_job: Callable, jobs: list, workers: int) -> list:
     raised, which is raised again here. One worker forks nothing and runs the
     same loop.
     """
+    import multiprocessing
+
     n_children = min(workers, len(jobs)) - 1
     context = multiprocessing.get_context("fork" if n_children > 0 else None)
     next_index = context.Value("q", 0)

@@ -1,10 +1,12 @@
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from emco import chain
+from emco import chain, corpus, harness
 
 MIN_3DOC = [["a", "b"], ["b", "a"]]
 MAJ_3DOC = [["b", "c", "a"]]
@@ -106,6 +108,12 @@ class TestEstimate:
     def test_rejects_non_finite_gamma(self, gamma):
         with pytest.raises(ValueError, match="finite"):
             chain.estimate([["a", "b"]], [["b", "a"]], gamma=gamma)
+
+    def test_rejects_gamma_that_overflows_a_row(self):
+        # row 'a' would be [1, inf, inf, 1]: every draw would pick the stop
+        # state, never 'y' or 'z', which have the largest weights
+        with pytest.raises(ValueError, match="gamma 1e\\+308"):
+            chain.estimate(MIN_3DOC, [["a", "z", "a", "y"] * 2], gamma=1e308)
 
     @given(
         st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), min_size=1, max_size=6),
@@ -222,6 +230,55 @@ class TestSampling:
         assert draws[1] / 30000 == pytest.approx(2 / 3, abs=0.01)
         assert draws[2] / 30000 == pytest.approx(1 / 3, abs=0.01)
 
+
+class TestDraw:
+    @given(
+        st.dictionaries(
+            st.integers(0, 1000),
+            st.floats(min_value=5e-324, max_value=1e300, allow_subnormal=True),
+            min_size=1, max_size=30,
+        ),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    # a subnormal total: u * total rounds up to total for every u > 3/4, so
+    # the search runs past the last running sum and the clamp picks the end
+    @example({3: 5e-324, 8: 5e-324}, 0)
+    @settings(max_examples=100)
+    def test_draws_match_numpy_searchsorted(self, counts, seed):
+        row = chain._make_row(counts)
+        indices = np.array(sorted(counts))
+        cumsum = np.cumsum([counts[i] for i in indices])
+        total = cumsum[-1]
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            pos = np.searchsorted(cumsum, twin.random() * total, side="right")
+            assert row.draw(rng) == indices[min(pos, len(indices) - 1)]
+
+
+def walk_digest(docs):
+    """sha256 of the documents that vocab-sweep walks on ``docs``: every
+    evaluable task at ratio 0.2, with the seed of ``emco vocab-eval``."""
+    n_train = len(corpus.training_documents(docs))
+    walks = []
+    for task in corpus.build_ovr_tasks(docs, 0.2):
+        if not task.evaluable:
+            continue
+        minority = [d.tokens for d in task.train_minority]
+        majority = [d.tokens for d in task.train_majority]
+        s = harness.synthetic_count(n_train, len(minority), 0.2)
+        for gamma in (0.0, 0.01, 0.1, 1.0):
+            model = chain.estimate(minority, majority, gamma)
+            rng = np.random.default_rng(
+                harness.derive_seed(0, task.category, "vocab-eval", gamma)
+            )
+            walks.append(chain.oversample(model, s, rng))
+    return hashlib.sha256(json.dumps(walks).encode("utf-8")).hexdigest()
+
+
+def test_bundled_corpus_walks_are_pinned(mini_docs):
+    assert walk_digest(mini_docs) == (
+        "b1729d0a36781e77fab504d5c43f2b77892bf01ca29076bb5b49dcaa7e6a75a1"
+    )
 
 
 def reference_estimate(minority_docs, majority_docs, gamma):

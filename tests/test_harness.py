@@ -555,6 +555,24 @@ class TestDeterminism:
         assert output_digests(tmp_path) == MINI_RUN_DIGESTS
 
 
+def test_import_and_prepare_load_no_multiprocessing():
+    # multiprocessing costs about 8 ms of import time; only running jobs
+    # and the workers > 1 check need it
+    script = (
+        "import sys, emco; from emco import harness; "
+        "from emco.data import mini_corpus_path; "
+        "harness.prepare(harness.ExperimentConfig(corpus_path=str(mini_corpus_path()))); "
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(emco.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    )}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestGammaSweep:
     def test_sweep_shape(self):
         config = harness.ExperimentConfig(
@@ -787,6 +805,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: gamma must be finite and nonnegative, got {gamma}\n"
+
+    def test_vocab_eval_rejects_gamma_that_overflows_the_weights(self, capsys):
+        rc = cli.main([
+            "vocab-eval", "--corpus", str(mini_corpus_path()),
+            "--category", "low", "--gamma", "1e308",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: gamma 1e+308 overflows")
+        assert captured.err.count("\n") == 1
 
     def test_vocab_eval_negative_zero_gamma_reports_gamma_zero(self, capsys):
         reports = []
