@@ -4,26 +4,42 @@ Objective: (1/2)(||w||^2 + b^2) + c * sum_i max(0, 1 - y_i (w.x_i + b)). The
 bias acts as a constant feature of value 1 and is therefore regularized
 along with the weights. The solver is the standard dual coordinate descent
 for the L1-loss SVM dual; its dual objective decreases monotonically, which
-is the descent property recorded per epoch. The epoch loop runs on plain
-Python floats over each vector's sparse entries: rows have a few dozen
-nonzeros, too few for numpy calls to pay for their overhead.
+is the descent property recorded per epoch.
+
+Each epoch runs in a small C kernel, ``_dcd.c``, compiled on first use (see
+``load_kernel``). Where it cannot be built, ``_python_epochs`` runs the same
+loop on plain Python floats and gives the same bytes: it is the fallback and
+the reference for the kernel.
 
 Every sum in the loop (the margin, ``qii``, ||w||^2 and sum(alpha)) is an
 explicit left-to-right ``for`` loop, and the clips are comparisons, not
 ``min``/``max``/``abs`` calls. Builtin ``sum()`` of floats is compensated
 from Python 3.12 on, so it would round differently there; the explicit loop
-rounds the same on every Python. A coordinate step then makes no generator
-and no builtin call, which roughly halves the solver's time.
+rounds the same on every Python, and the kernel adds in the same order.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import logging
+import os
+import platform
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .vectorize import SparseVector, to_csr
+
+log = logging.getLogger(__name__)
+
+_KERNEL_SOURCE = Path(__file__).with_name("_dcd.c")
+# -ffp-contract=off keeps a * b + c from fusing into one rounding, which
+# would change the bytes; -ffast-math would too, so it is never used.
+_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 @dataclass(frozen=True)
@@ -46,16 +62,22 @@ def train(
     n_features: int | None = None,
     seed: int = 0,
 ) -> LinearModel:
-    """Fit the classifier; labels must be -1/+1 with both classes present."""
+    """Fit the classifier; labels must be -1/+1 with both classes present,
+    and every feature index below ``n_features``."""
     y = [float(label) for label in labels]
+    for label in y:
+        if label != 1.0 and label != -1.0:
+            raise ValueError(f"labels must be -1 or +1, got {label:g}")
     if not (1.0 in y and -1.0 in y):
         raise ValueError("training set must contain both classes")
     if len(vectors) != len(y):
         raise ValueError("vectors and labels length mismatch")
+    indptr, indices, data = to_csr(vectors)
+    top = int(indices.max()) if len(indices) else -1
     if n_features is None:
-        n_features = 1 + max(
-            (i for vec in vectors for i, _ in vec.entries), default=-1
-        )
+        n_features = top + 1
+    elif top >= n_features:
+        raise ValueError(f"feature index {top} is out of range for {n_features} features")
 
     rows = [vec.entries for vec in vectors]
     n = len(rows)
@@ -65,15 +87,42 @@ def train(
         for _, v in row:
             q += v * v
         qii.append(q + 1.0)  # + the bias feature
+    rng = np.random.default_rng(seed)
+    kernel = load_kernel()
+    if kernel is None:
+        w, bias, history = _python_epochs(rows, y, qii, c, tol, max_iters, n_features, rng)
+        weights = np.array(w)
+    else:
+        weights, bias, history = _compiled_epochs(
+            kernel, (indptr, indices, data), y, qii, c, tol, max_iters, n_features, rng
+        )
+
+    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    margins = np.bincount(row_of, weights=data * weights[indices], minlength=n) + bias
+    hinge = np.maximum(0.0, 1.0 - np.array(y) * margins).sum()
+    primal = 0.5 * (float(weights @ weights) + bias * bias) + c * float(hinge)
+
+    return LinearModel(
+        weights=weights,
+        bias=bias,
+        c=c,
+        tol=tol,
+        objective=primal,
+        dual_objective_history=tuple(history),
+        n_epochs=len(history),
+    )
+
+
+def _python_epochs(rows, y, qii, c, tol, max_iters, n_features, rng):
+    """The epoch loop on Python floats; returns (weights, bias, dual history)
+    with the weights as a list. Each epoch visits the rows in the order of
+    ``rng.permutation`` and stops once the max violation is at most ``tol``."""
+    n = len(rows)
     w = [0.0] * n_features
     bias = 0.0
     alpha = [0.0] * n
-    rng = np.random.default_rng(seed)
-
     history = []
-    epochs = 0
-    for epoch in range(max_iters):
-        epochs = epoch + 1
+    for _ in range(max_iters):
         max_violation = 0.0
         for i in rng.permutation(n).tolist():
             row = rows[i]
@@ -117,23 +166,97 @@ def train(
         history.append(0.5 * (w_sq + bias * bias) - alpha_sum)
         if max_violation <= tol:
             break
+    return w, bias, history
 
-    weights = np.array(w)
-    indptr, indices, data = to_csr(vectors)
-    row_of = np.repeat(np.arange(n), np.diff(indptr))
-    margins = np.bincount(row_of, weights=data * weights[indices], minlength=n) + bias
-    hinge = np.maximum(0.0, 1.0 - np.array(y) * margins).sum()
-    primal = 0.5 * (float(weights @ weights) + bias * bias) + c * float(hinge)
 
-    return LinearModel(
-        weights=weights,
-        bias=bias,
-        c=c,
-        tol=tol,
-        objective=primal,
-        dual_objective_history=tuple(history),
-        n_epochs=epochs,
+def _compiled_epochs(kernel, csr, y, qii, c, tol, max_iters, n_features, rng):
+    """``_python_epochs`` with each epoch and its dual value run by the
+    kernel on the CSR arrays ``csr``; the weights come back as an array."""
+    import ctypes
+
+    n = len(y)
+    indptr, indices, data = csr
+    fixed = (
+        np.ascontiguousarray(indptr, dtype=np.intp),
+        np.ascontiguousarray(indices, dtype=np.intp),
+        np.ascontiguousarray(data, dtype=float),
+        np.array(y),
+        np.array(qii),
     )
+    w = np.zeros(n_features)
+    alpha = np.zeros(n)
+    order = np.empty(n, dtype=np.intp)
+    bias = ctypes.c_double(0.0)
+    # addresses taken once; every array above lives until the loop ends
+    fixed_p = [array.ctypes.data for array in fixed]
+    order_p, w_p, alpha_p = order.ctypes.data, w.ctypes.data, alpha.ctypes.data
+    bias_p = ctypes.byref(bias)
+    history = []
+    for _ in range(max_iters):
+        order[:] = rng.permutation(n)
+        max_violation = kernel.dcd_epoch(*fixed_p, order_p, n, c, w_p, bias_p, alpha_p)
+        history.append(kernel.dcd_dual(w_p, n_features, bias.value, alpha_p, n))
+        if max_violation <= tol:
+            break
+    return w, bias.value, history
+
+
+@functools.cache
+def load_kernel():
+    """The compiled epoch kernel, a ``ctypes.CDLL`` of ``_dcd.c``, or None
+    after one warning when it cannot be built or loaded.
+
+    The first call on a machine compiles the source with ``cc`` into
+    ``$XDG_CACHE_HOME/emco`` (else ``~/.cache/emco``), under a name keyed by
+    the sha256 of the source, the platform and the compiler flags; later
+    calls load that file.
+    """
+    import ctypes
+
+    try:
+        build = " ".join((sys.platform, platform.machine(), *_KERNEL_FLAGS))
+        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + build.encode()).hexdigest()
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "emco"
+        path = cache / f"_dcd-{key[:16]}.so"
+        if not path.exists():
+            _compile_kernel(path)
+        kernel = ctypes.CDLL(str(path))
+    except (OSError, RuntimeError) as error:
+        log.warning("compiled DCD solver unavailable, training runs the Python loop: %s", error)
+        return None
+    pointer, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+    kernel.dcd_epoch.argtypes = [pointer] * 6 + [size, real, pointer, ctypes.POINTER(real), pointer]
+    kernel.dcd_epoch.restype = real
+    kernel.dcd_dual.argtypes = [pointer, size, real, pointer, size]
+    kernel.dcd_dual.restype = real
+    return kernel
+
+
+def _compile_kernel(path: Path) -> None:
+    """Compile ``_dcd.c`` to ``path``. The library is written to a temporary
+    file and renamed into place, so concurrent runs never load a partial one;
+    a failed compile raises ``OSError``."""
+    import subprocess  # about 0.3 MB, so imported only to compile
+    import tempfile
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle, partial = tempfile.mkstemp(dir=path.parent, prefix="_dcd-", suffix=".tmp")
+    os.close(handle)
+    try:
+        result = subprocess.run(
+            ["cc", *_KERNEL_FLAGS, "-o", partial, str(_KERNEL_SOURCE)],
+            capture_output=True, text=True,
+        )
+        if result.returncode != 0:
+            detail = result.stderr.strip().splitlines()
+            raise OSError(
+                f"cc exited with status {result.returncode}"
+                + (f": {detail[0]}" if detail else "")
+            )
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
 
 
 def decision_value(model: LinearModel, vector: SparseVector) -> float:

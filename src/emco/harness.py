@@ -23,6 +23,7 @@ import json
 import logging
 import math
 import numbers
+import platform
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -373,6 +374,8 @@ def _execute(
     def run_job(job):
         return _run_one(prepared, *job, config)
 
+    # built or loaded here, before _run_jobs forks, so no worker compiles it
+    classifier.load_kernel()
     results = _run_jobs(run_job, jobs, config.workers)
     rows = [row for job_rows in results for row in job_rows]
     rows.sort(
@@ -487,6 +490,9 @@ def run(config: ExperimentConfig) -> dict:
         "skipped_tasks": skipped,
         "task_frequencies": frequencies,
         "n_rows": len(rows),
+        # the pinned output bytes depend on numpy's Generator streams
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
+        "solver": "python" if classifier.load_kernel() is None else "compiled",
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)

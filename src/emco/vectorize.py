@@ -27,6 +27,8 @@ class SparseVector:
         indices = [i for i, _ in self.entries]
         if indices != sorted(set(indices)):
             raise ValueError("entries must be sorted by strictly increasing index")
+        if indices and indices[0] < 0:
+            raise ValueError(f"entries must have nonnegative indices, got {indices[0]}")
         if any(v == 0.0 for _, v in self.entries):
             raise ValueError("entries must be nonzero")
 
@@ -100,7 +102,8 @@ def transform(doc: Document, model: TfidfModel) -> SparseVector:
 
 def to_csr(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack sparse vectors into the CSR arrays ``(indptr, indices, data)``;
-    ``indices`` is an integer array even when every vector is empty."""
+    ``indptr`` and ``indices`` are ``np.intp`` arrays even when every vector
+    is empty."""
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
@@ -109,7 +112,11 @@ def to_csr(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.
             indices.append(i)
             data.append(v)
         indptr.append(len(indices))
-    return np.array(indptr), np.array(indices, dtype=np.intp), np.array(data, dtype=float)
+    return (
+        np.array(indptr, dtype=np.intp),
+        np.array(indices, dtype=np.intp),
+        np.array(data, dtype=float),
+    )
 
 
 def to_dense(vectors: Sequence[SparseVector], n_features: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 import pytest
 
-from emco import corpus
+from emco import classifier, corpus
 from emco.data import mini_corpus_path
 
 
@@ -18,3 +18,9 @@ def make_raw(id, text, labels=("x",), split="train"):
     return corpus.RawDocument(
         id=id, text=text, labels=frozenset(labels), split=split
     )
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    """Train on the Python epoch loop, as where the kernel cannot be built."""
+    monkeypatch.setattr(classifier, "load_kernel", lambda: None)

@@ -1,9 +1,10 @@
 import functools
 import operator
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from emco import classifier
 from emco.vectorize import SparseVector, to_csr
@@ -83,6 +84,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             classifier.train([sv(1.0)], [1, -1])
 
+    def test_labels_other_than_plus_minus_one_rejected(self):
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1, got 2"):
+            classifier.train([sv(1.0), sv(-1.0), sv(2.0)], [1, -1, 2])
+
+    def test_feature_index_out_of_range_rejected(self):
+        vectors = [sv(1.0, 0.0, 1.0), sv(-1.0)]
+        with pytest.raises(ValueError, match="feature index 2 is out of range for 2"):
+            classifier.train(vectors, [1, -1], n_features=2)
+
     def test_zero_vectors_are_legal(self):
         vectors = [sv(1.0, 0.0), SparseVector(()), sv(-1.0, 0.0)]
         model = classifier.train(vectors, [1, -1, -1], n_features=2)
@@ -151,6 +161,11 @@ class TestAgainstReference:
         assert model.bias == pytest.approx(bias, abs=1e-6)
         # weak duality: the primal objective bounds the dual from above
         assert model.objective >= -model.dual_objective_history[-1] - 1e-9
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestAgainstReferenceOnPythonLoop(TestAgainstReference):
+    pass
 
 
 def builtin_train(vectors, labels, c, tol, max_iters, n_features, seed):
@@ -231,7 +246,11 @@ class TestTrainProperties:
     @example(([sv(0.5, 0.5)] * 2 + [SparseVector(())], [1, -1, 1]), 0.001, 1e-9, 20, 0)
     # empty rows only: the bias is the only feature
     @example(([SparseVector(())] * 3, [1, -1, -1]), 0.01, 1e-3, 10, 1)
-    @settings(max_examples=150, deadline=None)
+    # TestTrainPropertiesOnPythonLoop runs this test too, on the other solver
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.differing_executors],
+    )
     def test_dual_descends_and_bounds_the_primal(self, problem, c, tol, max_iters, seed):
         vectors, labels = problem
         assume(1 in labels and -1 in labels)
@@ -255,6 +274,57 @@ class TestTrainProperties:
         vectors = [sv(0.5, 0.5)] * 2 + [SparseVector(())]
         model = classifier.train(vectors, [1, -1, 1], c=0.001, tol=1e-9, max_iters=1000)
         assert model.n_epochs < 1000
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestTrainPropertiesOnPythonLoop(TestTrainProperties):
+    pass
+
+
+def write_failing_cc(bin_dir, marker):
+    """A ``cc`` on PATH that touches ``marker`` and fails."""
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text(f"#!/bin/sh\n: > '{marker}'\nexit 1\n")
+    cc.chmod(0o755)
+
+
+class TestLoadKernel:
+    """``load_kernel`` unmemoized, with its cache under ``tmp_path``."""
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_second_load_reuses_the_cached_library(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        assert classifier.load_kernel.__wrapped__() is not None
+        assert [p.suffix for p in (tmp_path / "cache" / "emco").iterdir()] == [".so"]
+        marker = tmp_path / "cc-ran"
+        write_failing_cc(tmp_path / "bin", marker)
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        assert classifier.load_kernel.__wrapped__() is not None
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("failure", ["failing cc", "no cc", "cache not writable"])
+    def test_unbuildable_kernel_falls_back_with_a_warning(
+        self, monkeypatch, tmp_path, caplog, failure
+    ):
+        cache = tmp_path / "cache"
+        marker = tmp_path / "cc-ran"
+        if failure == "failing cc":
+            write_failing_cc(tmp_path / "bin", marker)
+        else:
+            (tmp_path / "bin").mkdir()
+        if failure == "cache not writable":
+            cache.write_text("a file where the cache directory belongs")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        assert classifier.load_kernel.__wrapped__() is None
+        assert marker.exists() == (failure == "failing cc")
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "training runs the Python loop" in warnings[0].getMessage()
+        # no partial library is left behind
+        if cache.is_dir():
+            assert list((cache / "emco").iterdir()) == []
 
 
 class TestPredict:

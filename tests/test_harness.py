@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import platform
 import signal
 import subprocess
 import sys
@@ -258,6 +259,25 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["n_rows"] == 16
         assert manifest["config"]["master_seed"] == 7
+
+    @pytest.mark.parametrize("solver", ["compiled", "python"])
+    def test_manifest_records_solver_and_versions(
+        self, monkeypatch, tmp_path, solver
+    ):
+        if solver == "python":
+            monkeypatch.setattr(classifier, "load_kernel", lambda: None)
+        elif classifier.load_kernel() is None:
+            pytest.skip("the compiled solver cannot be built here")
+        config = replace(
+            two_job_config(write_test_only_category_corpus(tmp_path), 1),
+            output_dir=str(tmp_path / "out"),
+        )
+        harness.run(config)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["solver"] == solver
+        assert manifest["versions"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+        }
 
     def test_aggregate_keys(self, small_run):
         keys = set(small_run["aggregate"])
@@ -530,6 +550,10 @@ class TestDeterminism:
         harness.run(config)
         assert output_digests(tmp_path) == MINI_RUN_DIGESTS
 
+    @pytest.mark.usefixtures("python_loop")
+    def test_mini_run_output_bytes_are_pinned_on_the_python_loop(self, tmp_path):
+        self.test_mini_run_output_bytes_are_pinned(tmp_path)
+
     @pytest.mark.parametrize("hash_seed", ["0", "1"])
     def test_mini_run_needs_no_scipy(self, tmp_path, hash_seed):
         # The same matrix through the CLI, in an interpreter where any
@@ -555,14 +579,18 @@ class TestDeterminism:
         assert output_digests(tmp_path) == MINI_RUN_DIGESTS
 
 
-def test_import_and_prepare_load_no_multiprocessing():
+def test_import_and_prepare_load_neither_multiprocessing_nor_solver():
     # multiprocessing costs about 8 ms of import time; only running jobs
-    # and the workers > 1 check need it
+    # and the workers > 1 check need it. Nor may set-up build or load the
+    # compiled solver, or import ctypes where numpy does not.
     script = (
-        "import sys, emco; from emco import harness; "
+        "import sys, numpy; numpy_ctypes = 'ctypes' in sys.modules; "
+        "import emco; from emco import classifier, harness; "
         "from emco.data import mini_corpus_path; "
         "harness.prepare(harness.ExperimentConfig(corpus_path=str(mini_corpus_path()))); "
-        "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'; "
+        "assert ('ctypes' in sys.modules) == numpy_ctypes, 'ctypes was imported'; "
+        "assert classifier.load_kernel.cache_info().currsize == 0, 'the solver was loaded'"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(emco.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

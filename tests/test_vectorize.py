@@ -89,6 +89,10 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             vectorize.SparseVector(((2, 1.0), (1, 1.0)))
 
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="nonnegative indices, got -1"):
+            vectorize.SparseVector(((-1, 1.0),))
+
     def test_rejects_zero_values(self):
         with pytest.raises(ValueError):
             vectorize.SparseVector(((0, 0.0),))
@@ -105,6 +109,5 @@ class TestSparseVector:
         indptr, indices, data = vectorize.to_csr([vectorize.SparseVector(())] * 2)
         assert indptr.tolist() == [0, 0, 0]
         assert indices.size == data.size == 0
-        assert np.issubdtype(indices.dtype, np.integer)
-        assert np.issubdtype(indptr.dtype, np.integer)
+        assert indices.dtype == indptr.dtype == np.intp
 
