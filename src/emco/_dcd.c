@@ -4,17 +4,21 @@
  * runs left to right, so both give the same bytes when this file is built
  * without contraction (-ffp-contract=off) and without -ffast-math.
  *
- * Row i is indices/data[indptr[i] .. indptr[i + 1]). The caller checks that
- * every index is in [0, n_features) and every order entry in [0, n).
+ * dcd_epoch is the only entry point: one call per epoch, which also gives
+ * the epoch's dual value. Row i is indices/data[indptr[i] .. indptr[i + 1]),
+ * read as they come from vectorize.to_csr: C-contiguous np.intp (ptrdiff_t)
+ * and float64 arrays. The caller checks that every index is in
+ * [0, n_features), every value is finite and every order entry in [0, n).
  */
 #include <stddef.h>
 
-/* One epoch over the rows in `order`; returns its max projected-gradient
- * violation and updates w, *bias and alpha in place. */
+/* One epoch over the rows in `order`: updates w, *bias and alpha in place,
+ * writes the dual objective 0.5 * (||w||^2 + bias^2) - sum(alpha) after it
+ * to *dual, and returns its max projected-gradient violation. */
 double dcd_epoch(const ptrdiff_t *indptr, const ptrdiff_t *indices,
                  const double *data, const double *y, const double *qii,
-                 const ptrdiff_t *order, ptrdiff_t n, double c,
-                 double *w, double *bias, double *alpha)
+                 const ptrdiff_t *order, ptrdiff_t n, ptrdiff_t n_features,
+                 double c, double *w, double *bias, double *alpha, double *dual)
 {
     double b = *bias;
     double max_violation = 0.0;
@@ -56,18 +60,12 @@ double dcd_epoch(const ptrdiff_t *indptr, const ptrdiff_t *indices,
         }
     }
     *bias = b;
-    return max_violation;
-}
-
-/* The dual objective 0.5 * (||w||^2 + bias^2) - sum(alpha). */
-double dcd_dual(const double *w, ptrdiff_t n_features, double bias,
-                const double *alpha, ptrdiff_t n)
-{
     double w_sq = 0.0;
     for (ptrdiff_t j = 0; j < n_features; j++)
         w_sq += w[j] * w[j];
     double alpha_sum = 0.0;
     for (ptrdiff_t i = 0; i < n; i++)
         alpha_sum += alpha[i];
-    return 0.5 * (w_sq + bias * bias) - alpha_sum;
+    *dual = 0.5 * (w_sq + b * b) - alpha_sum;
+    return max_violation;
 }

@@ -6,16 +6,20 @@ along with the weights. The solver is the standard dual coordinate descent
 for the L1-loss SVM dual; its dual objective decreases monotonically, which
 is the descent property recorded per epoch.
 
-Each epoch runs in a small C kernel, ``_dcd.c``, compiled on first use (see
+``train`` builds the CSR arrays of its rows once, with ``to_csr``; ``qii``,
+the solver and the primal all read them. Each epoch, with its dual value, is
+one call into a small C kernel, ``_dcd.c``, compiled on first use (see
 ``load_kernel``). Where it cannot be built, ``_python_epochs`` runs the same
 loop on plain Python floats and gives the same bytes: it is the fallback and
 the reference for the kernel.
 
-Every sum in the loop (the margin, ``qii``, ||w||^2 and sum(alpha)) is an
-explicit left-to-right ``for`` loop, and the clips are comparisons, not
+Every sum in the loop (the margin, ||w||^2 and sum(alpha)) is an explicit
+left-to-right ``for`` loop, and the clips are comparisons, not
 ``min``/``max``/``abs`` calls. Builtin ``sum()`` of floats is compensated
 from Python 3.12 on, so it would round differently there; the explicit loop
 rounds the same on every Python, and the kernel adds in the same order.
+``np.bincount`` also adds each row's terms in order from 0.0, so ``qii`` and
+the primal's margins use it.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ _KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 class LinearModel:
     weights: np.ndarray  # per-feature weights, excluding the bias component
     bias: float
-    c: float
-    tol: float
     objective: float  # primal objective at termination
     dual_objective_history: tuple[float, ...] = ()
     n_epochs: int = 0
@@ -63,7 +65,7 @@ def train(
     seed: int = 0,
 ) -> LinearModel:
     """Fit the classifier; labels must be -1/+1 with both classes present,
-    and every feature index below ``n_features``."""
+    every feature index below ``n_features`` and every value finite."""
     y = [float(label) for label in labels]
     for label in y:
         if label != 1.0 and label != -1.0:
@@ -72,51 +74,45 @@ def train(
         raise ValueError("training set must contain both classes")
     if len(vectors) != len(y):
         raise ValueError("vectors and labels length mismatch")
-    indptr, indices, data = to_csr(vectors)
+    csr = indptr, indices, data = to_csr(vectors)
     top = int(indices.max()) if len(indices) else -1
     if n_features is None:
         n_features = top + 1
     elif top >= n_features:
         raise ValueError(f"feature index {top} is out of range for {n_features} features")
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise ValueError(f"feature values must be finite, got {data[~finite][0]:g}")
 
-    rows = [vec.entries for vec in vectors]
-    n = len(rows)
-    qii = []
-    for row in rows:
-        q = 0.0
-        for _, v in row:
-            q += v * v
-        qii.append(q + 1.0)  # + the bias feature
-    rng = np.random.default_rng(seed)
-    kernel = load_kernel()
-    if kernel is None:
-        w, bias, history = _python_epochs(rows, y, qii, c, tol, max_iters, n_features, rng)
-        weights = np.array(w)
-    else:
-        weights, bias, history = _compiled_epochs(
-            kernel, (indptr, indices, data), y, qii, c, tol, max_iters, n_features, rng
-        )
-
+    n = len(y)
+    y = np.array(y)
     row_of = np.repeat(np.arange(n), np.diff(indptr))
+    qii = np.bincount(row_of, weights=data * data, minlength=n) + 1.0  # + the bias feature
+    solve = _python_epochs if load_kernel() is None else _compiled_epochs
+    weights, bias, history = solve(
+        csr, y, qii, c, tol, max_iters, n_features, np.random.default_rng(seed)
+    )
+
     margins = np.bincount(row_of, weights=data * weights[indices], minlength=n) + bias
-    hinge = np.maximum(0.0, 1.0 - np.array(y) * margins).sum()
+    hinge = np.maximum(0.0, 1.0 - y * margins).sum()
     primal = 0.5 * (float(weights @ weights) + bias * bias) + c * float(hinge)
 
     return LinearModel(
         weights=weights,
         bias=bias,
-        c=c,
-        tol=tol,
         objective=primal,
         dual_objective_history=tuple(history),
         n_epochs=len(history),
     )
 
 
-def _python_epochs(rows, y, qii, c, tol, max_iters, n_features, rng):
-    """The epoch loop on Python floats; returns (weights, bias, dual history)
-    with the weights as a list. Each epoch visits the rows in the order of
-    ``rng.permutation`` and stops once the max violation is at most ``tol``."""
+def _python_epochs(csr, y, qii, c, tol, max_iters, n_features, rng):
+    """The epoch loop on Python floats; returns (weights, bias, dual history).
+    Each epoch visits the rows in the order of ``rng.permutation`` and stops
+    once the max violation is at most ``tol``."""
+    indptr, indices, data = (array.tolist() for array in csr)
+    rows = [tuple(zip(indices[s:e], data[s:e])) for s, e in zip(indptr, indptr[1:])]
+    y, qii = y.tolist(), qii.tolist()
     n = len(rows)
     w = [0.0] * n_features
     bias = 0.0
@@ -166,36 +162,31 @@ def _python_epochs(rows, y, qii, c, tol, max_iters, n_features, rng):
         history.append(0.5 * (w_sq + bias * bias) - alpha_sum)
         if max_violation <= tol:
             break
-    return w, bias, history
+    return np.array(w), bias, history
 
 
-def _compiled_epochs(kernel, csr, y, qii, c, tol, max_iters, n_features, rng):
-    """``_python_epochs`` with each epoch and its dual value run by the
-    kernel on the CSR arrays ``csr``; the weights come back as an array."""
+def _compiled_epochs(csr, y, qii, c, tol, max_iters, n_features, rng):
+    """``_python_epochs`` with each epoch, and its dual value, run by one
+    kernel call on ``to_csr``'s arrays as they are."""
     import ctypes
 
+    kernel = load_kernel()
     n = len(y)
-    indptr, indices, data = csr
-    fixed = (
-        np.ascontiguousarray(indptr, dtype=np.intp),
-        np.ascontiguousarray(indices, dtype=np.intp),
-        np.ascontiguousarray(data, dtype=float),
-        np.array(y),
-        np.array(qii),
-    )
     w = np.zeros(n_features)
     alpha = np.zeros(n)
     order = np.empty(n, dtype=np.intp)
-    bias = ctypes.c_double(0.0)
-    # addresses taken once; every array above lives until the loop ends
-    fixed_p = [array.ctypes.data for array in fixed]
+    bias, dual = ctypes.c_double(0.0), ctypes.c_double(0.0)
+    # addresses taken once; these arrays and the caller's outlive the loop
+    fixed_p = [array.ctypes.data for array in (*csr, y, qii)]
     order_p, w_p, alpha_p = order.ctypes.data, w.ctypes.data, alpha.ctypes.data
-    bias_p = ctypes.byref(bias)
+    bias_p, dual_p = ctypes.byref(bias), ctypes.byref(dual)
     history = []
     for _ in range(max_iters):
         order[:] = rng.permutation(n)
-        max_violation = kernel.dcd_epoch(*fixed_p, order_p, n, c, w_p, bias_p, alpha_p)
-        history.append(kernel.dcd_dual(w_p, n_features, bias.value, alpha_p, n))
+        max_violation = kernel.dcd_epoch(
+            *fixed_p, order_p, n, n_features, c, w_p, bias_p, alpha_p, dual_p
+        )
+        history.append(dual.value)
         if max_violation <= tol:
             break
     return w, bias.value, history
@@ -225,10 +216,9 @@ def load_kernel():
         log.warning("compiled DCD solver unavailable, training runs the Python loop: %s", error)
         return None
     pointer, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    kernel.dcd_epoch.argtypes = [pointer] * 6 + [size, real, pointer, ctypes.POINTER(real), pointer]
+    out = ctypes.POINTER(real)
+    kernel.dcd_epoch.argtypes = [pointer] * 6 + [size, size, real, pointer, out, pointer, out]
     kernel.dcd_epoch.restype = real
-    kernel.dcd_dual.argtypes = [pointer, size, real, pointer, size]
-    kernel.dcd_dual.restype = real
     return kernel
 
 

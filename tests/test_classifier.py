@@ -93,6 +93,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="feature index 2 is out of range for 2"):
             classifier.train(vectors, [1, -1], n_features=2)
 
+    @pytest.mark.parametrize("solver", ["compiled", "python"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_feature_value_rejected(self, request, solver, value):
+        if solver == "python":
+            request.getfixturevalue("python_loop")
+        vectors = [SparseVector(((0, value),)), SparseVector(((1, 1.0),)), sv(1.0)]
+        with pytest.raises(ValueError, match=f"feature values must be finite, got {value:g}"):
+            classifier.train(vectors, [1, -1, 1], n_features=2)
+
     def test_zero_vectors_are_legal(self):
         vectors = [sv(1.0, 0.0), SparseVector(()), sv(-1.0, 0.0)]
         model = classifier.train(vectors, [1, -1, -1], n_features=2)
@@ -330,7 +339,7 @@ class TestLoadKernel:
 class TestPredict:
     def test_tie_predicts_positive(self):
         model = classifier.LinearModel(
-            weights=np.array([1.0]), bias=0.0, c=1.0, tol=1e-3, objective=0.0
+            weights=np.array([1.0]), bias=0.0, objective=0.0
         )
         label, value = classifier.predict(model, SparseVector(()))
         assert value == 0.0
@@ -338,13 +347,13 @@ class TestPredict:
 
     def test_decision_value_linear(self):
         model = classifier.LinearModel(
-            weights=np.array([2.0, -1.0]), bias=0.5, c=1.0, tol=1e-3, objective=0.0
+            weights=np.array([2.0, -1.0]), bias=0.5, objective=0.0
         )
         assert classifier.decision_value(model, sv(1.0, 3.0)) == pytest.approx(-0.5)
 
     def test_out_of_dimension_features_ignored(self):
         model = classifier.LinearModel(
-            weights=np.array([1.0]), bias=0.0, c=1.0, tol=1e-3, objective=0.0
+            weights=np.array([1.0]), bias=0.0, objective=0.0
         )
         wide = SparseVector(((0, 1.0), (7, 99.0)))
         assert classifier.decision_value(model, wide) == pytest.approx(1.0)

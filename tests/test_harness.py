@@ -152,6 +152,16 @@ class TestSyntheticCount:
     def test_already_above_ratio(self):
         assert harness.synthetic_count(100, 30, 0.2) == 0
 
+    @pytest.mark.parametrize("n, m, message", [
+        (0, 0, "training count must be >= 1, got 0"),
+        (-3, 0, "training count must be >= 1, got -3"),
+        (5, -1, "minority count must be in \\[0, 5\\], got -1"),
+        (5, 6, "minority count must be in \\[0, 5\\], got 6"),
+    ])
+    def test_bad_counts_rejected(self, n, m, message):
+        with pytest.raises(ValueError, match=message):
+            harness.synthetic_count(n, m, 0.2)
+
     @given(
         st.integers(2, 2000),
         st.integers(1, 2000),
@@ -718,6 +728,8 @@ class TestCli:
         ("abc", "error: config file must hold a JSON object, got str"),
         ({"c": float("inf")}, "error: config key 'c' must be finite and > 0, got inf"),
         ({"tol": float("inf")}, "error: config key 'tol' must be finite and > 0, got inf"),
+        ({"methods": []}, "error: config key 'methods' must not be empty"),
+        ({"sampling_ratios": []}, "error: config key 'sampling_ratios' must not be empty"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, extra, message):
         config_path = tmp_path / "config.json"

@@ -103,11 +103,15 @@ class TestSparseVector:
 
     def test_to_csr_shape(self):
         vecs = [vectorize.SparseVector(((0, 1.0), (2, -0.5))), vectorize.SparseVector(())]
-        indptr, indices, data = vectorize.to_csr(vecs)
+        full = indptr, indices, data = vectorize.to_csr(vecs)
         assert indptr.tolist() == [0, 2, 2]
         assert indices.tolist() == [0, 2] and data.tolist() == [1.0, -0.5]
-        indptr, indices, data = vectorize.to_csr([vectorize.SparseVector(())] * 2)
+        empty = indptr, indices, data = vectorize.to_csr([vectorize.SparseVector(())] * 2)
         assert indptr.tolist() == [0, 0, 0]
         assert indices.size == data.size == 0
-        assert indices.dtype == indptr.dtype == np.intp
+        # the compiled solver reads these arrays as they are
+        for indptr, indices, data in (full, empty):
+            assert indices.dtype == indptr.dtype == np.intp
+            assert data.dtype == np.float64
+            assert all(a.flags.c_contiguous for a in (indptr, indices, data))
 
