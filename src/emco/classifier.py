@@ -18,8 +18,8 @@ left-to-right ``for`` loop, and the clips are comparisons, not
 ``min``/``max``/``abs`` calls. Builtin ``sum()`` of floats is compensated
 from Python 3.12 on, so it would round differently there; the explicit loop
 rounds the same on every Python, and the kernel adds in the same order.
-``np.bincount`` also adds each row's terms in order from 0.0, so ``qii`` and
-the primal's margins use it.
+``np.bincount`` also adds its input in order into bins from 0.0, so ``qii``
+uses it, and so does ``_margins``, the one w.x + b outside the solver.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def train(
         csr, y, qii, c, tol, max_iters, n_features, np.random.default_rng(seed)
     )
 
-    margins = np.bincount(row_of, weights=data * weights[indices], minlength=n) + bias
-    hinge = np.maximum(0.0, 1.0 - y * margins).sum()
+    hinge = np.maximum(0.0, 1.0 - y * _margins(csr, weights, bias)).sum()
     primal = 0.5 * (float(weights @ weights) + bias * bias) + c * float(hinge)
 
     return LinearModel(
@@ -249,17 +248,25 @@ def _compile_kernel(path: Path) -> None:
             os.unlink(partial)
 
 
-def decision_value(model: LinearModel, vector: SparseVector) -> float:
-    dim = len(model.weights)
-    total = model.bias
-    for i, v in vector.entries:
-        if i < dim:  # features beyond the fitted dimension contribute zero
-            total += model.weights[i] * v
-    return total
+def _margins(csr, weights: np.ndarray, bias: float) -> np.ndarray:
+    """w.x + b of each CSR row as a loop adds it: the bias first, then the row's
+    products left to right; features at or beyond ``len(weights)`` add nothing."""
+    indptr, indices, data = csr
+    n = len(indptr) - 1
+    inside = indices < len(weights)
+    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), np.diff(indptr))[inside]])
+    terms = np.concatenate([np.full(n, bias), data[inside] * weights[indices[inside]]])
+    return np.bincount(rows, weights=terms, minlength=n)
+
+
+def score(model: LinearModel, csr) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted labels and decision values of the rows of ``to_csr``'s
+    arrays; an exact tie predicts +1."""
+    values = _margins(csr, model.weights, model.bias)
+    return np.where(values >= 0.0, 1, -1), values
 
 
 def predict(model: LinearModel, vector: SparseVector) -> tuple[int, float]:
-    """Predicted label and decision value; an exact tie predicts +1."""
-    value = decision_value(model, vector)
-    return (1 if value >= 0.0 else -1), value
-
+    """Predicted label and decision value of one vector, as ``score`` gives."""
+    labels, values = score(model, to_csr([vector]))
+    return int(labels[0]), float(values[0])

@@ -189,7 +189,7 @@ class _Prepared:
     train_docs: list[corpus.Document]
     train_vectors: list[vectorize.SparseVector]
     test_docs: list[corpus.Document]
-    test_vectors: list[vectorize.SparseVector]
+    test_csr: tuple[np.ndarray, np.ndarray, np.ndarray]  # vectorize.to_csr's arrays
 
 
 def prepare(config: ExperimentConfig) -> _Prepared:
@@ -207,7 +207,7 @@ def prepare(config: ExperimentConfig) -> _Prepared:
         train_docs=train_docs,
         train_vectors=[vectorize.transform(d, tfidf) for d in train_docs],
         test_docs=test_docs,
-        test_vectors=[vectorize.transform(d, tfidf) for d in test_docs],
+        test_csr=vectorize.to_csr([vectorize.transform(d, tfidf) for d in test_docs]),
     )
 
 
@@ -304,7 +304,7 @@ def _run_one(
         n_features=prepared.tfidf.n_features,
         seed=derive_seed(*seed_parts, "clf"),
     )
-    y_pred = [classifier.predict(model, v)[0] for v in prepared.test_vectors]
+    y_pred = classifier.score(model, prepared.test_csr)[0].tolist()
     counts = metrics.ConfusionCounts.from_predictions(state.test_y, y_pred)
     scores = {k: round(v, 10) for k, v in metrics.compute_metrics(counts).items()}
     return [

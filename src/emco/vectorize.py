@@ -36,15 +36,13 @@ class SparseVector:
         return _norm(self.entries)
 
     def to_dense(self, dim: int) -> np.ndarray:
-        out = np.zeros(dim)
-        for i, v in self.entries:
-            out[i] = v
-        return out
+        return to_dense([self], dim)[0]
 
     @staticmethod
     def from_dense(arr: np.ndarray) -> "SparseVector":
+        """Every entry ``!= 0.0``: a NaN is kept for the readers' checks."""
         return SparseVector(
-            tuple((int(i), float(v)) for i, v in enumerate(arr) if abs(v) > 0.0)
+            tuple((int(i), float(v)) for i, v in enumerate(arr) if v != 0.0)
         )
 
 
@@ -103,7 +101,7 @@ def transform(doc: Document, model: TfidfModel) -> SparseVector:
 def to_csr(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack sparse vectors into the CSR arrays ``(indptr, indices, data)``;
     ``indptr`` and ``indices`` are ``np.intp`` arrays even when every vector
-    is empty."""
+    is empty; a non-integer index, which the cast would truncate, is rejected."""
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
@@ -112,15 +110,20 @@ def to_csr(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.
             indices.append(i)
             data.append(v)
         indptr.append(len(indices))
+    columns = np.array(indices)
+    if columns.size and columns.dtype.kind not in "iu":
+        raise ValueError(f"feature indices must be integers, got {columns.dtype} indices")
     return (
         np.array(indptr, dtype=np.intp),
-        np.array(indices, dtype=np.intp),
+        columns.astype(np.intp, copy=False),
         np.array(data, dtype=float),
     )
 
 
 def to_dense(vectors: Sequence[SparseVector], n_features: int) -> np.ndarray:
-    return np.vstack([v.to_dense(n_features) for v in vectors]) if vectors else (
-        np.zeros((0, n_features))
-    )
-
+    """One zero row per vector, set at its entries; an index >= ``n_features``
+    raises ``IndexError``."""
+    indptr, indices, data = to_csr(vectors)
+    out = np.zeros((len(vectors), n_features))
+    out[np.repeat(np.arange(len(vectors)), np.diff(indptr)), indices] = data
+    return out

@@ -102,6 +102,18 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"feature values must be finite, got {value:g}"):
             classifier.train(vectors, [1, -1, 1], n_features=2)
 
+    def test_nan_from_dense_is_rejected(self):
+        # from_dense once dropped the NaN, and this trained to weights [0, 1]
+        vectors = [sv(float("nan"), 1.0), sv(0.0, -1.0)]
+        with pytest.raises(ValueError, match="feature values must be finite, got nan"):
+            classifier.train(vectors, [1, -1])
+
+    def test_non_integer_index_rejected(self):
+        # to_csr once cast the index 0.5 to column 0
+        vectors = [SparseVector(((0.5, 1.0),)), sv(-1.0)]
+        with pytest.raises(ValueError, match="feature indices must be integers"):
+            classifier.train(vectors, [1, -1])
+
     def test_zero_vectors_are_legal(self):
         vectors = [sv(1.0, 0.0), SparseVector(()), sv(-1.0, 0.0)]
         model = classifier.train(vectors, [1, -1, -1], n_features=2)
@@ -349,12 +361,44 @@ class TestPredict:
         model = classifier.LinearModel(
             weights=np.array([2.0, -1.0]), bias=0.5, objective=0.0
         )
-        assert classifier.decision_value(model, sv(1.0, 3.0)) == pytest.approx(-0.5)
+        assert classifier.predict(model, sv(1.0, 3.0))[1] == pytest.approx(-0.5)
 
     def test_out_of_dimension_features_ignored(self):
         model = classifier.LinearModel(
             weights=np.array([1.0]), bias=0.0, objective=0.0
         )
         wide = SparseVector(((0, 1.0), (7, 99.0)))
-        assert classifier.decision_value(model, wide) == pytest.approx(1.0)
+        assert classifier.predict(model, wide)[1] == pytest.approx(1.0)
 
+
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.integers(0, 7),
+                st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0),
+                max_size=5,
+            ),
+            max_size=8,
+        ),
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=6),
+        st.floats(-1e3, 1e3, allow_nan=False),
+    )
+    # no rows; an empty row; a row wholly beyond the weights
+    @example([], [1.0], 0.5)
+    @example([{}, {0: -2.0, 7: 3.0}], [0.25], -1.0)
+    @example([{3: 1.0}], [], 0.0)
+    def test_score_adds_as_the_loop_does(self, rows, weights, bias):
+        vectors = [SparseVector(tuple(sorted(row.items()))) for row in rows]
+        expected = []
+        for vec in vectors:
+            total = bias  # the bias first, then each product left to right
+            for i, v in vec.entries:
+                if i < len(weights):
+                    total += weights[i] * v
+            expected.append(total)
+        model = classifier.LinearModel(weights=np.array(weights), bias=bias, objective=0.0)
+        csr = to_csr(vectors)
+        labels, values = classifier.score(model, csr)
+        assert values.tolist() == expected
+        assert classifier._margins(csr, model.weights, bias).tolist() == expected
+        assert labels.tolist() == [1 if m >= 0.0 else -1 for m in expected]

@@ -101,6 +101,48 @@ class TestSparseVector:
         vec = vectorize.SparseVector(((1, 0.5), (3, -2.0)))
         assert vectorize.SparseVector.from_dense(vec.to_dense(5)) == vec
 
+    def test_from_dense_keeps_nan(self):
+        vec = vectorize.SparseVector.from_dense(np.array([np.nan, 0.0, -0.0, 2.0]))
+        assert [i for i, _ in vec.entries] == [0, 3]
+        assert math.isnan(vec.entries[0][1]) and vec.entries[1][1] == 2.0
+
+    @pytest.mark.parametrize(
+        "entries", [[((0.5, 1.0),)], [((0, 1.0),), ((1.0, 2.0),)], [((True, 1.0),)]]
+    )
+    def test_to_csr_rejects_non_integer_indices(self, entries):
+        vectors = [vectorize.SparseVector(e) for e in entries]
+        with pytest.raises(ValueError, match="feature indices must be integers, got"):
+            vectorize.to_csr(vectors)
+
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.integers(0, 5),
+                st.floats(-1.0, 1.0, allow_nan=False).filter(lambda v: v != 0.0),
+                max_size=4,
+            ),
+            max_size=6,
+        ),
+        st.integers(6, 8),
+    )
+    def test_to_dense_is_the_entrywise_assignment(self, rows, n_features):
+        vectors = [vectorize.SparseVector(tuple(sorted(row.items()))) for row in rows]
+        expected = np.zeros((len(vectors), n_features))
+        for r, vec in enumerate(vectors):
+            for i, v in vec.entries:
+                expected[r, i] = v
+        dense = vectorize.to_dense(vectors, n_features)
+        assert dense.shape == expected.shape and (dense == expected).all()
+        for r, vec in enumerate(vectors):
+            assert (vec.to_dense(n_features) == expected[r]).all()
+
+    def test_to_dense_edges(self):
+        assert vectorize.to_dense([], 3).shape == (0, 3)
+        assert vectorize.to_dense([vectorize.SparseVector(())] * 2, 3).tolist() == [[0.0] * 3] * 2
+        beyond = [vectorize.SparseVector(()), vectorize.SparseVector(((3, 1.0),))]
+        with pytest.raises(IndexError):
+            vectorize.to_dense(beyond, 3)
+
     def test_to_csr_shape(self):
         vecs = [vectorize.SparseVector(((0, 1.0), (2, -0.5))), vectorize.SparseVector(())]
         full = indptr, indices, data = vectorize.to_csr(vecs)
