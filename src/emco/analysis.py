@@ -7,16 +7,15 @@ points, which is closed-form and reproducible.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .chain import VocabPartition
-from .metrics import ConfusionCounts
+from .metrics import ConfusionCounts, write_rows_csv
 
 
 @dataclass(frozen=True)
@@ -141,15 +140,9 @@ def vocab_expansion_eval(
 
 
 def write_curve_csv(path: str | Path, points: Iterable[GrowthPoint]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["A", "T", "new_known_in_majority"])
-        for p in points:
-            writer.writerow(
-                [p.total_words, p.vocab_size,
-                 "" if p.new_words_known_in_majority is None
-                 else p.new_words_known_in_majority]
-            )
+    """Columns A, T and new_known_in_majority; a None count is left empty."""
+    columns = ("A", "T", "new_known_in_majority")
+    write_rows_csv(path, (dict(zip(columns, astuple(p))) for p in points), columns)
 
 
 def write_fit_json(path: str | Path, fit: HeapsFit) -> None:

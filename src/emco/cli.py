@@ -61,14 +61,8 @@ def _build_config(args: argparse.Namespace, **defaults) -> harness.ExperimentCon
     return harness.ExperimentConfig.from_dict(base)
 
 
-def _load_preprocessed(args: argparse.Namespace) -> list[corpus.Document]:
-    raw = corpus.load_corpus_jsonl(args.corpus)
-    stopwords = corpus.resolve_stopwords(args.stopwords)
-    return corpus.preprocess(raw, stopwords=stopwords)
-
-
 def cmd_prep(args: argparse.Namespace) -> int:
-    docs = _load_preprocessed(args)
+    docs = corpus.load_documents(args.corpus, args.stopwords)
     train = corpus.training_documents(docs)
     test = corpus.test_documents(docs)
     vocab = {t for d in train for t in d.tokens}
@@ -121,7 +115,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_growth(args: argparse.Namespace) -> int:
-    docs = _load_preprocessed(args)
+    docs = corpus.load_documents(args.corpus, args.stopwords)
     train = corpus.training_documents(docs)
     if args.category:
         selected = [d.tokens for d in train if args.category in d.labels]
@@ -154,7 +148,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
 
 
 def cmd_vocab_eval(args: argparse.Namespace) -> int:
-    docs = _load_preprocessed(args)
+    docs = corpus.load_documents(args.corpus, args.stopwords)
     tasks = corpus.build_ovr_tasks(docs, args.ratio)
     by_cat = {t.category: t for t in tasks}
     if args.category not in by_cat:

@@ -131,9 +131,14 @@ def default_stopwords() -> frozenset[str]:
     return load_stopwords(stopwords_path())
 
 
-def resolve_stopwords(path: str | Path | None) -> frozenset[str]:
-    """The list at ``path`` when one is given, else the bundled list."""
-    return load_stopwords(path) if path else default_stopwords()
+def load_documents(
+    path: str | Path, stopwords_path: str | Path | None = None
+) -> list[Document]:
+    """The corpus at ``path``, preprocessed with the stopword list at
+    ``stopwords_path``, else the bundled one; a missing corpus is reported first."""
+    raw = load_corpus_jsonl(path)
+    stopwords = load_stopwords(stopwords_path) if stopwords_path else default_stopwords()
+    return preprocess(raw, stopwords=stopwords)
 
 
 def default_stemmer() -> Stemmer:
@@ -170,11 +175,9 @@ def preprocess(
         if doc.split == "train":
             train_counts.update(stems)
 
-    rare = {stem for stem, count in train_counts.items() if count <= 2}
-
     out = []
     for doc, stems in staged:
-        kept = tuple(s for s in stems if s not in rare and train_counts.get(s, 0) > 0)
+        kept = tuple(s for s in stems if train_counts.get(s, 0) > 2)
         if kept:
             out.append(Document(doc.id, kept, doc.labels, doc.split))
     return out

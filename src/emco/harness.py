@@ -43,7 +43,7 @@ class ExperimentConfig:
     corpus_path: str
     output_dir: str = "results"
     dataset: str = "corpus"
-    methods: tuple[str, ...] = ("none", "ros", "smote", "adasyn", "mco", "emco")
+    methods: tuple[str, ...] = KNOWN_METHODS
     gammas: tuple[float, ...] = (1.0,)
     sampling_ratios: tuple[float, ...] = (0.1, 0.2)
     repetitions: int = 5
@@ -193,9 +193,7 @@ class _Prepared:
 
 
 def prepare(config: ExperimentConfig) -> _Prepared:
-    raw = corpus.load_corpus_jsonl(config.corpus_path)
-    stopwords = corpus.resolve_stopwords(config.stopwords_path)
-    docs = corpus.preprocess(raw, stopwords=stopwords)
+    docs = corpus.load_documents(config.corpus_path, config.stopwords_path)
     train_docs = corpus.training_documents(docs)
     test_docs = corpus.test_documents(docs)
     if not train_docs:
@@ -272,10 +270,8 @@ def _synthetic(
             state.minority, state.majority, count, config.k_neighbors, rng,
             n_features,
         )
-    if method in ("mco", "emco"):
-        documents = chain.oversample(state.chains[gamma], count, rng)
-        return [vectorize.transform_tokens(t, prepared.tfidf) for t in documents]
-    raise ValueError(f"unknown method {method!r}")  # pragma: no cover
+    documents = chain.oversample(state.chains[gamma], count, rng)  # mco, emco
+    return [vectorize.transform_tokens(t, prepared.tfidf) for t in documents]
 
 
 def _run_one(
@@ -326,11 +322,11 @@ def _run_one(
 
 
 def _execute(
-    config: ExperimentConfig, prepared: _Prepared | None = None
+    config: ExperimentConfig,
 ) -> tuple[list[dict], dict[str, dict[str, float]], list[dict]]:
-    """Run the whole matrix; returns (rows, frequencies per ratio label, skipped)."""
-    if prepared is None:
-        prepared = prepare(config)
+    """Prepare the corpus and run the whole matrix; returns (rows, frequencies
+    per ratio label, skipped)."""
+    prepared = prepare(config)
 
     skipped = []
     frequencies: dict[str, dict[str, float]] = {}
@@ -484,8 +480,7 @@ def run(config: ExperimentConfig) -> dict:
     """Run the experiment matrix and write results to the output directory."""
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prepared = prepare(config)
-    rows, frequencies, skipped = _execute(config, prepared)
+    rows, frequencies, skipped = _execute(config)
     aggregate = aggregate_rows(rows, frequencies)
 
     metrics.write_rows_csv(out_dir / "results.csv", rows)

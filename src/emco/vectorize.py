@@ -29,6 +29,8 @@ class SparseVector:
             raise ValueError("entries must be sorted by strictly increasing index")
         if indices and indices[0] < 0:
             raise ValueError(f"entries must have nonnegative indices, got {indices[0]}")
+        if not {bool, np.bool_}.isdisjoint(map(type, indices)):
+            raise ValueError("entries must have integer indices, got a bool")
         if any(v == 0.0 for _, v in self.entries):
             raise ValueError("entries must be nonzero")
 

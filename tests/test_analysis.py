@@ -151,6 +151,7 @@ def test_write_curve_csv(tmp_path):
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows == [["A", "T", "new_known_in_majority"], ["10", "5", "2"], ["20", "8", ""]]
+    assert path.read_bytes() == b"A,T,new_known_in_majority\r\n10,5,2\r\n20,8,\r\n"
 
 
 def test_write_fit_json(tmp_path):

@@ -204,3 +204,38 @@ def test_corpus_jsonl_bad_line_is_one_line_error(tmp_path, lines, message):
         corpus.load_corpus_jsonl(path)
     assert str(info.value) == f"{path}{message}"
 
+
+
+class TestLoadDocuments:
+    TEXT = "the wheat and the grain " * 3
+
+    def write_corpus(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            f'{{"id": "1", "text": "{self.TEXT}", "labels": ["a"], "split": "train"}}\n'
+        )
+        return path
+
+    def test_stopword_file_is_applied(self, tmp_path):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("wheat\n\n")
+        docs = corpus.load_documents(self.write_corpus(tmp_path), stop)
+        # "the" and "and" are not on the given list; "wheat" is
+        assert docs[0].tokens == ("the", "and", "the", "grain") * 3
+
+    def test_no_path_means_the_bundled_list(self, tmp_path):
+        path = self.write_corpus(tmp_path)
+        docs = corpus.load_documents(path)
+        assert docs[0].tokens == ("wheat", "grain") * 3
+        expected = corpus.preprocess(
+            corpus.load_corpus_jsonl(path), stopwords=corpus.default_stopwords()
+        )
+        assert docs == expected
+
+    def test_missing_corpus_is_reported_before_missing_stopwords(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as info:
+            corpus.load_documents(tmp_path / "no.jsonl", tmp_path / "no.txt")
+        assert info.value.filename == str(tmp_path / "no.jsonl")
+        with pytest.raises(FileNotFoundError) as info:
+            corpus.load_documents(self.write_corpus(tmp_path), tmp_path / "no.txt")
+        assert info.value.filename == str(tmp_path / "no.txt")

@@ -323,7 +323,7 @@ class TestTaskState:
         c_vectors = {v for y, v in zip(expected, prepared.train_vectors) if y == 1}
 
         read_calls = record_training(monkeypatch, tmp_path)
-        rows, _, _ = harness._execute(config, prepared)
+        rows, _, _ = harness._execute(config)
         calls = read_calls()
         assert {r["category"] for r in rows} == {"c"}
         assert len(calls) == 2
@@ -628,9 +628,9 @@ class TestGammaSweep:
         configs = []
         real = harness._execute
 
-        def execute(config, prepared=None):
+        def execute(config):
             configs.append(config)
-            return real(config, prepared)
+            return real(config)
 
         monkeypatch.setattr(harness, "_execute", execute)
         config = harness.ExperimentConfig(

@@ -107,8 +107,16 @@ class TestSparseVector:
         assert math.isnan(vec.entries[0][1]) and vec.entries[1][1] == 2.0
 
     @pytest.mark.parametrize(
-        "entries", [[((0.5, 1.0),)], [((0, 1.0),), ((1.0, 2.0),)], [((True, 1.0),)]]
+        "entries",
+        [((True, 1.0),), ((np.True_, 1.0),), ((0, 1.0), (True, 2.0))],
+        ids=["bool", "numpy-bool", "bool-after-int"],
     )
+    def test_rejects_bool_index(self, entries):
+        # numpy makes [0, True] an int64 array, so to_csr cannot see the bool
+        with pytest.raises(ValueError, match="integer indices, got a bool"):
+            vectorize.SparseVector(entries)
+
+    @pytest.mark.parametrize("entries", [[((0.5, 1.0),)], [((0, 1.0),), ((1.0, 2.0),)]])
     def test_to_csr_rejects_non_integer_indices(self, entries):
         vectors = [vectorize.SparseVector(e) for e in entries]
         with pytest.raises(ValueError, match="feature indices must be integers, got"):
