@@ -64,6 +64,8 @@ def growth_curve(
         raise ValueError(f"step must be >= 1, got {step}")
     docs = list(documents)
     if shuffle_seed is not None:
+        if shuffle_seed < 0:
+            raise ValueError(f"shuffle_seed must be >= 0, got {shuffle_seed}")
         rng = np.random.default_rng(shuffle_seed)
         docs = [docs[i] for i in rng.permutation(len(docs))]
 

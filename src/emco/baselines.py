@@ -45,6 +45,11 @@ class NeighborIndex:
         return order[:k]
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+
+
 def _minority_k(name: str, n: int, k: int) -> int:
     """Neighbors per minority point, k capped at n - 1, after checking n and k."""
     if n < 2:
@@ -91,6 +96,7 @@ def ros(
     minority: Sequence[SparseVector], count: int, rng: np.random.Generator
 ) -> list[SparseVector]:
     """Random oversampling: uniform draws with replacement."""
+    _check_count(count)
     if not minority:
         raise ValueError("minority set is empty")
     picks = rng.integers(0, len(minority), size=count)
@@ -110,6 +116,7 @@ def smote(
     base point's k nearest minority neighbors (capped at n-1 when the
     minority sample is small).
     """
+    _check_count(count)
     n = len(minority)
     k_min = _minority_k("smote", n, k)
     neighbors = [o[:k_min] for o in _neighbor_orders(to_dense(minority, n_features), n)]
@@ -153,6 +160,7 @@ def adasyn(
     which come in the minority-only order: each distance is the same in both
     sets, and ties go to the lower index in both.
     """
+    _check_count(count)
     n = len(minority)
     k_min = _minority_k("adasyn", n, k)
     all_points = to_dense([*minority, *majority], n_features)

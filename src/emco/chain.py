@@ -224,6 +224,8 @@ def sample_document(
     """
     if length is None:
         length = int(model.lengths[rng.integers(len(model.lengths))])
+    elif length < 0:
+        raise ValueError(f"length must be nonnegative, got {length}")
     words, row = model.partition.words, model.row
     stop = current = model.partition.stop_index
     out: list[str] = []

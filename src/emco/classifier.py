@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import logging
+import math
 import os
 import platform
 import sys
@@ -66,6 +67,11 @@ def train(
 ) -> LinearModel:
     """Fit the classifier; labels must be -1/+1 with both classes present,
     every feature index below ``n_features`` and every value finite."""
+    for name, value in (("c", c), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     y = [float(label) for label in labels]
     for label in y:
         if label != 1.0 and label != -1.0:

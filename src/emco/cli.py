@@ -56,8 +56,6 @@ def _build_config(args: argparse.Namespace, **defaults) -> harness.ExperimentCon
         value = getattr(args, f.name, None)
         if value is not None:
             base[f.name] = value
-    if "corpus_path" not in base:
-        raise SystemExit("error: a corpus path is required (--corpus or config)")
     return harness.ExperimentConfig.from_dict(base)
 
 
@@ -126,7 +124,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
         selected = [d.tokens for d in train]
         reference = None
     if not selected:
-        raise SystemExit("error: no documents selected for the growth curve")
+        raise ValueError("no documents selected for the growth curve")
     points = analysis.growth_curve(
         selected, step=args.step, majority_vocab=reference,
         shuffle_seed=args.shuffle_seed,
@@ -152,13 +150,13 @@ def cmd_vocab_eval(args: argparse.Namespace) -> int:
     tasks = corpus.build_ovr_tasks(docs, args.ratio)
     by_cat = {t.category: t for t in tasks}
     if args.category not in by_cat:
-        raise SystemExit(
-            f"error: category {args.category!r} is not a minority task at "
+        raise ValueError(
+            f"category {args.category!r} is not a minority task at "
             f"ratio {args.ratio} (available: {sorted(by_cat)})"
         )
     task = by_cat[args.category]
     if not task.train_minority:
-        raise SystemExit(f"error: category {args.category!r} has no training document")
+        raise ValueError(f"category {args.category!r} has no training document")
     gamma = args.gamma + 0.0  # -0.0 becomes 0.0: the seed and report of gamma 0
     model = chain.estimate(
         [d.tokens for d in task.train_minority],

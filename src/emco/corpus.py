@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .data import stopwords_path
 from .stemming import PorterStemmer
@@ -69,61 +69,73 @@ def tokenize(raw_text: str) -> list[str]:
     return _TOKEN_RE.findall(raw_text.lower())
 
 
+def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each line of a UTF-8 file with its number, split where text mode
+    splits (at \\n, \\r\\n and \\r); a line that is not UTF-8 is a
+    ``path:line:`` error."""
+    with open(path, "rb") as handle:
+        lines = (line for chunk in handle for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, text
+
+
 def load_corpus_jsonl(path: str | Path) -> list[RawDocument]:
     """Read a JSON-lines corpus with fields id, text, labels, split."""
     docs = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            for key in ("id", "text", "labels", "split"):
-                if key not in obj:
-                    raise ValueError(f"{path}:{lineno}: missing key {key!r}")
-            split = obj["split"]
-            if split not in ("train", "test"):
-                raise ValueError(f"{path}:{lineno}: bad split {split!r}")
-            if not isinstance(obj["labels"], list):
-                raise ValueError(
-                    f"{path}:{lineno}: labels must be a list, "
-                    f"got {type(obj['labels']).__name__}"
-                )
-            for key, value, kinds, description in (
-                ("id", obj["id"], (str, int), "a string or an integer"),
-                ("text", obj["text"], str, "a string"),
-                *(("labels", x, str, "a list of strings") for x in obj["labels"]),
-            ):
-                if isinstance(value, bool) or not isinstance(value, kinds):
-                    raise ValueError(
-                        f"{path}:{lineno}: {key} must be {description}, "
-                        f"got {type(value).__name__}"
-                    )
-            doc_id = str(obj["id"])
-            if doc_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-            docs.append(
-                RawDocument(
-                    id=doc_id,
-                    text=obj["text"],
-                    labels=frozenset(obj["labels"]),
-                    split=split,
-                )
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
+        for key in ("id", "text", "labels", "split"):
+            if key not in obj:
+                raise ValueError(f"{path}:{lineno}: missing key {key!r}")
+        split = obj["split"]
+        if split not in ("train", "test"):
+            raise ValueError(f"{path}:{lineno}: bad split {split!r}")
+        if not isinstance(obj["labels"], list):
+            raise ValueError(
+                f"{path}:{lineno}: labels must be a list, "
+                f"got {type(obj['labels']).__name__}"
             )
+        for key, value, kinds, description in (
+            ("id", obj["id"], (str, int), "a string or an integer"),
+            ("text", obj["text"], str, "a string"),
+            *(("labels", x, str, "a list of strings") for x in obj["labels"]),
+        ):
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(
+                    f"{path}:{lineno}: {key} must be {description}, "
+                    f"got {type(value).__name__}"
+                )
+        doc_id = str(obj["id"])
+        if doc_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+        docs.append(
+            RawDocument(
+                id=doc_id,
+                text=obj["text"],
+                labels=frozenset(obj["labels"]),
+                split=split,
+            )
+        )
     return docs
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list, one word per line; blank lines ignored."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return frozenset(w.strip() for w in handle if w.strip())
+    return frozenset(line.strip() for _, line in _text_lines(path) if line.strip())
 
 
 def default_stopwords() -> frozenset[str]:
@@ -137,7 +149,10 @@ def load_documents(
     """The corpus at ``path``, preprocessed with the stopword list at
     ``stopwords_path``, else the bundled one; a missing corpus is reported first."""
     raw = load_corpus_jsonl(path)
-    stopwords = load_stopwords(stopwords_path) if stopwords_path else default_stopwords()
+    stopwords = (
+        default_stopwords() if stopwords_path is None
+        else load_stopwords(stopwords_path)
+    )
     return preprocess(raw, stopwords=stopwords)
 
 

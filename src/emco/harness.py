@@ -56,6 +56,9 @@ class ExperimentConfig:
     stopwords_path: str | None = None
 
     def __post_init__(self):
+        for key in ("methods", "gammas", "sampling_ratios"):
+            _check_type(key, getattr(self, key), (list, tuple), "a list")
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         for key in ("corpus_path", "output_dir", "dataset"):
             _check_type(key, getattr(self, key), str, "a string")
         if self.stopwords_path is not None:
@@ -125,25 +128,18 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(obj: Mapping) -> "ExperimentConfig":
-        """Config from parsed JSON: list values become tuples; unknown keys
-        and a non-list where a list belongs are errors."""
-        obj = dict(obj)
+        """Config from parsed JSON; unknown keys and a missing corpus_path
+        are errors."""
         known = {f.name for f in fields(ExperimentConfig)}
         for key in obj:
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-        for key in ("methods", "gammas", "sampling_ratios"):
-            if key in obj:
-                if not isinstance(obj[key], (list, tuple)):
-                    raise ValueError(
-                        f"config key {key!r} must be a list, "
-                        f"got {type(obj[key]).__name__}"
-                    )
-                obj[key] = tuple(obj[key])
+        if "corpus_path" not in obj:
+            raise ValueError("a corpus path is required (--corpus or config)")
         return ExperimentConfig(**obj)
 
 
-def _check_type(key: str, value, kind: type, description: str) -> None:
+def _check_type(key: str, value, kind: type | tuple, description: str) -> None:
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(
             f"config key {key!r} must be {description}, got {type(value).__name__}"
@@ -437,7 +433,7 @@ def _run_jobs(run_job: Callable, jobs: list, workers: int) -> list:
                 status, payload = reader.recv()
             except EOFError:
                 child.join()
-                raise RuntimeError(
+                raise ChildProcessError(
                     f"worker process exited with code {child.exitcode} "
                     f"before reporting its jobs"
                 ) from None

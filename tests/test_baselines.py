@@ -47,6 +47,20 @@ class TestRos:
         assert set(out) == set(minority)
 
 
+@pytest.mark.parametrize("oversample", [
+    lambda minority, count, rng: baselines.ros(minority, count, rng),
+    lambda minority, count, rng: baselines.smote(minority, count, 1, rng, 2),
+    lambda minority, count, rng: baselines.adasyn(
+        minority, [sv(5, 5)], count, 1, rng, 2
+    ),
+], ids=["ros", "smote", "adasyn"])
+def test_negative_count_rejected(oversample):
+    minority = [sv(1, 0), sv(0, 1), sv(1, 1)]
+    with pytest.raises(ValueError) as exc:
+        oversample(minority, -1, np.random.default_rng(0))
+    assert str(exc.value) == "count must be nonnegative, got -1"
+
+
 class TestSmote:
     def test_points_lie_on_neighbor_segments(self):
         rng = np.random.default_rng(5)

@@ -167,6 +167,12 @@ class TestSampling:
         for target in (1, 4, 9):
             assert len(chain.sample_document(model, rng, length=target)) == target
 
+    def test_negative_length_rejected(self):
+        model = chain.estimate([["a", "b"]], [], gamma=0.0)
+        with pytest.raises(ValueError) as exc:
+            chain.sample_document(model, np.random.default_rng(0), length=-1)
+        assert str(exc.value) == "length must be nonnegative, got -1"
+
     def test_lengths_drawn_from_empirical_multiset(self):
         model = chain.estimate([["a", "b"], ["b", "a", "b", "a"]], [], gamma=0.0)
         rng = np.random.default_rng(11)

@@ -102,6 +102,25 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"feature values must be finite, got {value:g}"):
             classifier.train(vectors, [1, -1, 1], n_features=2)
 
+    @pytest.mark.parametrize("solver", ["compiled", "python"])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"c": -1.0}, "c must be finite and > 0, got -1.0"),
+        ({"c": 0.0}, "c must be finite and > 0, got 0.0"),
+        ({"c": float("nan")}, "c must be finite and > 0, got nan"),
+        ({"c": float("inf")}, "c must be finite and > 0, got inf"),
+        ({"tol": -1}, "tol must be finite and > 0, got -1"),
+        ({"tol": float("nan")}, "tol must be finite and > 0, got nan"),
+        ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+    ])
+    def test_bad_solver_setting_rejected(self, request, monkeypatch, solver, kwargs, message):
+        if solver == "python":
+            request.getfixturevalue("python_loop")
+        # rejected before the rows are read
+        monkeypatch.setattr(classifier, "to_csr", None)
+        with pytest.raises(ValueError) as exc:
+            classifier.train([sv(1.0), sv(-1.0), sv(2.0)], [1, -1, 1], **kwargs)
+        assert str(exc.value) == message
+
     def test_nan_from_dense_is_rejected(self):
         # from_dense once dropped the NaN, and this trained to weights [0, 1]
         vectors = [sv(float("nan"), 1.0), sv(0.0, -1.0)]

@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from emco import corpus
+from emco import cli, corpus
 from emco.stemming import PorterStemmer, identity_stemmer
 
 from conftest import make_raw
@@ -239,3 +239,49 @@ class TestLoadDocuments:
         with pytest.raises(FileNotFoundError) as info:
             corpus.load_documents(self.write_corpus(tmp_path), tmp_path / "no.txt")
         assert info.value.filename == str(tmp_path / "no.txt")
+
+
+class TestUndecodableInput:
+    """Bad bytes and paths reach the command line as one ``error:`` line."""
+
+    LINE = b'{"id": "%d", "text": "wheat grain caf\xe9", "labels": ["a"], "split": "train"}'
+
+    def prep(self, capsys, *args):
+        rc = cli.main(["prep", *map(str, args)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return rc, captured.err
+
+    def test_corpus_line_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(self.LINE.replace(b"\xe9", b"e") % 1 + b"\n" + self.LINE % 2 + b"\n")
+        rc, err = self.prep(capsys, "--corpus", path)
+        assert rc == 1
+        assert err == (
+            f"error: {path}:2: 'utf-8' codec can't decode byte 0xe9 in position 36: "
+            "invalid continuation byte\n"
+        )
+
+    def test_lines_split_where_text_mode_splits_them(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = self.LINE.replace(b"\xe9", b"e")
+        path.write_bytes(good % 1 + b"\r\n" + good % 2 + b"\r" + self.LINE % 3 + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: 'utf-8'"):
+            corpus.load_corpus_jsonl(path)
+        path.write_bytes(good % 1 + b"\r\n\r" + good % 2 + b"\r")
+        assert [d.id for d in corpus.load_corpus_jsonl(path)] == ["1", "2"]
+
+    def test_stopword_line_that_is_not_utf8(self, tmp_path, mini_path, capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"the\ncaf\xe9\n")
+        rc, err = self.prep(capsys, "--corpus", mini_path, "--stopwords", stop)
+        assert rc == 1
+        assert err == (
+            f"error: {stop}:2: 'utf-8' codec can't decode byte 0xe9 in position 3: "
+            "unexpected end of data\n"
+        )
+
+    def test_empty_stopwords_path_is_a_missing_file(self, mini_path, capsys):
+        rc, err = self.prep(capsys, "--corpus", mini_path, "--stopwords", "")
+        assert rc == 1
+        assert err == "error: [Errno 2] No such file or directory: ''\n"

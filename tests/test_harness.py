@@ -77,6 +77,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             harness.ExperimentConfig(corpus_path="x", methods=("emco",), gammas=())
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"methods": "none"}, "config key 'methods' must be a list, got str"),
+        ({"gammas": 1.0}, "config key 'gammas' must be a list, got float"),
+        ({"sampling_ratios": 0.2},
+         "config key 'sampling_ratios' must be a list, got float"),
+    ])
+    def test_direct_construction_rejects_a_non_list(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            harness.ExperimentConfig(corpus_path="x", **kwargs)
+        assert str(exc.value) == message
+
+    def test_direct_construction_makes_lists_tuples(self):
+        config = harness.ExperimentConfig(
+            corpus_path="x", methods=["none"], gammas=[1], sampling_ratios=[0.2]
+        )
+        assert config.methods == ("none",)
+        assert config.gammas == (1.0,)
+        assert config.sampling_ratios == (0.2,)
+        assert hash(config) == hash(replace(config))
+
+    def test_from_dict_requires_a_corpus_path(self):
+        with pytest.raises(ValueError, match="^a corpus path is required"):
+            harness.ExperimentConfig.from_dict({"methods": ["none"]})
+
     def test_from_json_roundtrip(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
@@ -468,11 +492,28 @@ class TestWorkerProcesses:
             harness._execute(config)
 
     @needs_fork
-    def test_child_dying_without_report_is_runtime_error(self, monkeypatch, tmp_path):
+    def test_child_dying_without_report_is_child_process_error(
+        self, monkeypatch, tmp_path
+    ):
         run_one_in_child(monkeypatch, tmp_path, lambda: os._exit(3))
         config = two_job_config(write_test_only_category_corpus(tmp_path), 2)
-        with deadline(60), pytest.raises(RuntimeError, match="exited with code 3 "):
+        with deadline(60), pytest.raises(ChildProcessError, match="exited with code 3 "):
             harness._execute(config)
+
+    @needs_fork
+    def test_child_dying_is_one_cli_error_line(self, monkeypatch, tmp_path, capsys):
+        run_one_in_child(monkeypatch, tmp_path, lambda: os._exit(9))
+        path = write_test_only_category_corpus(tmp_path)
+        with deadline(60):
+            rc = cli.main([
+                "run", "--corpus", str(path), "--methods", "none", "--ratios", "0.2",
+                "--repetitions", "2", "--workers", "2",
+                "--output-dir", str(tmp_path / "out"),
+            ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: worker process exited with code 9 before reporting its jobs\n"
+        )
 
     @needs_fork
     def test_parent_job_error_stops_the_children(self, monkeypatch, tmp_path):
@@ -829,11 +870,58 @@ class TestCli:
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
-    def test_vocab_eval_category_without_training_document(self, tmp_path):
+    def test_vocab_eval_category_without_training_document(self, tmp_path, capsys):
         path = write_test_only_category_corpus(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["vocab-eval", "--corpus", str(path), "--category", "new"])
-        assert exc.value.code == "error: category 'new' has no training document"
+        rc = cli.main(["vocab-eval", "--corpus", str(path), "--category", "new"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: category 'new' has no training document\n"
+        )
+
+    def test_vocab_eval_category_that_is_not_a_task(self, capsys):
+        rc = cli.main([
+            "vocab-eval", "--corpus", str(mini_corpus_path()), "--category", "absent",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: category 'absent' is not a minority task at ratio 0.2")
+        assert err.count("\n") == 1
+
+    def test_growth_without_selected_documents(self, tmp_path, capsys):
+        rc = cli.main([
+            "growth", "--corpus", str(mini_corpus_path()), "--category", "absent",
+            "--output-dir", str(tmp_path / "g"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: no documents selected for the growth curve\n"
+        )
+
+    def test_growth_by_category_counts_words_known_in_majority(self, tmp_path, capsys):
+        rc = cli.main([
+            "growth", "--corpus", str(mini_corpus_path()), "--category", "low",
+            "--step", "5", "--output-dir", str(tmp_path / "g"),
+        ])
+        assert rc == 0
+        assert (tmp_path / "g" / "growth.csv").read_bytes() == (
+            b"A,T,new_known_in_majority\r\n55,26,15\r\n107,32,5\r\n151,32,0\r\n"
+        )
+        assert (tmp_path / "g" / "heaps_fit.json").exists()
+
+    def test_growth_rejects_a_negative_shuffle_seed(self, tmp_path, capsys):
+        rc = cli.main([
+            "growth", "--corpus", str(mini_corpus_path()), "--shuffle-seed", "-1",
+            "--output-dir", str(tmp_path / "g"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: shuffle_seed must be >= 0, got -1\n"
+
+    def test_missing_corpus_path_is_one_line_error(self, tmp_path, capsys):
+        rc = cli.main(["run", "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: a corpus path is required (--corpus or config)\n"
+        )
 
     @pytest.mark.parametrize("gamma", ["nan", "inf"])
     def test_vocab_eval_rejects_non_finite_gamma(self, capsys, gamma):
