@@ -2,30 +2,19 @@
 with baseline oversamplers, a linear classifier, evaluation metrics, and
 vocabulary-growth analysis."""
 
-from .chain import (
-    TransitionModel,
-    VocabPartition,
-    estimate,
-    oversample,
-    sample_document,
-)
+from .chain import TransitionModel, VocabPartition, estimate, oversample, sample_document
 from .corpus import (
-    Document,
-    OvrTask,
-    RawDocument,
-    build_ovr_tasks,
-    load_corpus_jsonl,
-    preprocess,
-    tokenize,
+    Document, OvrTask, RawDocument, build_ovr_tasks, load_corpus_jsonl, preprocess, tokenize
 )
 from .harness import ExperimentConfig, gamma_sweep, run, synthetic_count
 from .metrics import ConfusionCounts, compute_metrics, macro_average
-from .vectorize import SparseVector, TfidfModel, fit_tfidf, transform
+from .vectorize import CsrRows, SparseVector, TfidfModel, fit_tfidf, transform
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfusionCounts",
+    "CsrRows",
     "Document",
     "ExperimentConfig",
     "OvrTask",

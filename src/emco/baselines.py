@@ -5,6 +5,7 @@ convex hull of the minority sample. Interpolated vectors are deliberately
 not re-normalized to unit L2. Neighbor search is a brute-force Euclidean
 scan, which is plenty at desk scale; ties are broken by lower index.
 
+Each oversampler reads ``CsrRows`` or a ``SparseVector`` list and returns ``CsrRows``.
 Neighbor search runs on dense rows: many tf-idf vectors with disjoint
 supports lie exactly sqrt(2) apart, and a sparse distance formula rounds
 those ties differently, which would change which neighbor is picked.
@@ -19,7 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .vectorize import SparseVector, to_dense
+from .chain import check_count
+from .vectorize import CsrRows, SparseVector, to_csr, to_dense
+
+Rows = Sequence[SparseVector] | CsrRows
 
 
 @dataclass(frozen=True)
@@ -45,11 +49,6 @@ class NeighborIndex:
         return order[:k]
 
 
-def _check_count(count: int) -> None:
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-
-
 def _minority_k(name: str, n: int, k: int) -> int:
     """Neighbors per minority point, k capped at n - 1, after checking n and k."""
     if n < 2:
@@ -65,62 +64,54 @@ def _neighbor_orders(points: np.ndarray, n: int) -> list[np.ndarray]:
     return [index.query(points[i], len(points) - 1, exclude=i) for i in range(n)]
 
 
-def _interpolate(
-    minority: Sequence[SparseVector],
-    neighbors: Sequence[np.ndarray],
-    bases: Sequence[int],
-    rng: np.random.Generator,
-) -> list[SparseVector]:
-    """One synthetic vector a + u (b - a) per base point a.
+def _interpolate(minority: CsrRows, neighbors: Sequence[np.ndarray], bases, rng) -> CsrRows:
+    """One synthetic row a + u (b - a) per base point a.
 
     The partner b is drawn uniformly from the base point's neighbors, then u
-    uniformly from [0, 1). Coordinates that come out exactly zero are dropped.
+    uniformly from [0, 1). Each row holds the union of the two supports, in
+    column order; coordinates that come out exactly zero are dropped.
     """
-    entries = [dict(vec.entries) for vec in minority]
-    out = []
+    partners, u = [], []
     for i in bases:
-        nn = int(neighbors[i][int(rng.integers(len(neighbors[i])))])
-        u = rng.random()
-        a, b = entries[i], entries[nn]
-        point = []
-        for col in sorted(a.keys() | b.keys()):
-            x = a.get(col, 0.0)
-            value = x + u * (b.get(col, 0.0) - x)
-            if value != 0.0:
-                point.append((col, value))
-        out.append(SparseVector(tuple(point)))
-    return out
+        partners.append(neighbors[i][int(rng.integers(len(neighbors[i])))])
+        u.append(rng.random())
+    a, b = minority.take(bases), minority.take(partners)
+    width = int(minority.indices.max(initial=0)) + 1
+    # one key per (synthetic row, column) of a or b; the union is their sorted set
+    keys = [rows.entry_rows() * width + rows.indices for rows in (a, b)]
+    union, slots = np.unique(np.concatenate(keys), return_inverse=True)
+    x, y = np.zeros(len(union)), np.zeros(len(union))
+    x[slots[: len(a.data)]], y[slots[len(a.data) :]] = a.data, b.data
+    rows, columns = np.divmod(union, width)
+    values = x + np.array(u)[rows] * (y - x)
+    kept = values != 0.0
+    return CsrRows.from_entries(rows[kept], columns[kept], values[kept], len(u))
 
 
-def ros(
-    minority: Sequence[SparseVector], count: int, rng: np.random.Generator
-) -> list[SparseVector]:
-    """Random oversampling: uniform draws with replacement."""
-    _check_count(count)
-    if not minority:
+def ros(minority: Rows, count: int, rng: np.random.Generator) -> CsrRows:
+    """Random oversampling: uniform draws of whole rows, with replacement."""
+    check_count(count)
+    minority = to_csr(minority)
+    if not len(minority):
         raise ValueError("minority set is empty")
-    picks = rng.integers(0, len(minority), size=count)
-    return [minority[int(i)] for i in picks]
+    return minority.take(rng.integers(0, len(minority), size=count))
 
 
 def smote(
-    minority: Sequence[SparseVector],
-    count: int,
-    k: int,
-    rng: np.random.Generator,
-    n_features: int,
-) -> list[SparseVector]:
-    """Synthetic vectors as random convex combinations of neighbor pairs.
+    minority: Rows, count: int, k: int, rng: np.random.Generator, n_features: int
+) -> CsrRows:
+    """Synthetic rows as random convex combinations of neighbor pairs.
 
     Base points are cycled in order; the partner is drawn uniformly from the
     base point's k nearest minority neighbors (capped at n-1 when the
     minority sample is small).
     """
-    _check_count(count)
+    check_count(count)
+    minority = to_csr(minority)
     n = len(minority)
     k_min = _minority_k("smote", n, k)
     neighbors = [o[:k_min] for o in _neighbor_orders(to_dense(minority, n_features), n)]
-    return _interpolate(minority, neighbors, [j % n for j in range(count)], rng)
+    return _interpolate(minority, neighbors, np.arange(count) % n, rng)
 
 
 def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -143,13 +134,8 @@ def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 
 
 def adasyn(
-    minority: Sequence[SparseVector],
-    majority: Sequence[SparseVector],
-    count: int,
-    k: int,
-    rng: np.random.Generator,
-    n_features: int,
-) -> list[SparseVector]:
+    minority: Rows, majority: Rows, count: int, k: int, rng: np.random.Generator, n_features: int
+) -> CsrRows:
     """Density-adaptive SMOTE variant.
 
     Each minority point's share of the synthetic budget is proportional to
@@ -160,10 +146,11 @@ def adasyn(
     which come in the minority-only order: each distance is the same in both
     sets, and ties go to the lower index in both.
     """
-    _check_count(count)
+    check_count(count)
+    minority = to_csr(minority)
     n = len(minority)
     k_min = _minority_k("adasyn", n, k)
-    all_points = to_dense([*minority, *majority], n_features)
+    all_points = to_dense(minority.stack(to_csr(majority)), n_features)
     k_all = min(k, len(all_points) - 1)
     orders = _neighbor_orders(all_points, n)
     ratios = np.array([np.count_nonzero(order[:k_all] >= n) / k_all for order in orders])

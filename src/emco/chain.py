@@ -21,6 +21,7 @@ side="right")`` picks. Rows are built with no numpy call; ``indices`` and
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -43,9 +44,7 @@ class VocabPartition:
     n_min: int  # words[:n_min] is the minority vocabulary
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {w: i for i, w in enumerate(self.words)}
-        )
+        object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.words)})
 
     @classmethod
     def from_corpora(
@@ -68,12 +67,6 @@ class VocabPartition:
     @property
     def v_maj_only(self) -> tuple[str, ...]:
         return self.words[self.n_min :]
-
-    def index(self, word: str) -> int:
-        return self._index[word]
-
-    def is_min(self, idx: int) -> bool:
-        return idx < self.n_min
 
 
 class _Row:
@@ -240,7 +233,12 @@ def oversample(
     model: TransitionModel, count: int, rng: np.random.Generator
 ) -> list[list[str]]:
     """Draw ``count`` independent synthetic documents."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    check_count(count)
     return [sample_document(model, rng) for _ in range(count)]
 
+
+def check_count(count: int) -> None:
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"count must be an integer, got {count!r}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")

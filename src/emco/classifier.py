@@ -6,12 +6,12 @@ along with the weights. The solver is the standard dual coordinate descent
 for the L1-loss SVM dual; its dual objective decreases monotonically, which
 is the descent property recorded per epoch.
 
-``train`` builds the CSR arrays of its rows once, with ``to_csr``; ``qii``,
-the solver and the primal all read them. Each epoch, with its dual value, is
-one call into a small C kernel, ``_dcd.c``, compiled on first use (see
-``load_kernel``). Where it cannot be built, ``_python_epochs`` runs the same
-loop on plain Python floats and gives the same bytes: it is the fallback and
-the reference for the kernel.
+``train`` reads one ``CsrRows`` (a ``SparseVector`` list becomes one first);
+``qii``, the solver and the primal all read its arrays. Each epoch, with its
+dual value, is one call into a small C kernel, ``_dcd.c``, compiled on first
+use (see ``load_kernel``). Where it cannot be built, ``_python_epochs`` runs
+the same loop on plain Python floats and gives the same bytes: it is the
+fallback and the reference for the kernel.
 
 Every sum in the loop (the margin, ||w||^2 and sum(alpha)) is an explicit
 left-to-right ``for`` loop, and the clips are comparisons, not
@@ -28,6 +28,7 @@ import functools
 import hashlib
 import logging
 import math
+import numbers
 import os
 import platform
 import sys
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vectorize import SparseVector, to_csr
+from .vectorize import CsrRows, SparseVector, to_csr
 
 log = logging.getLogger(__name__)
 
@@ -57,49 +58,48 @@ class LinearModel:
 
 
 def train(
-    vectors: Sequence[SparseVector],
-    labels: Sequence[int],
-    c: float = 1.0,
-    tol: float = 1e-3,
-    max_iters: int = 1000,
-    n_features: int | None = None,
-    seed: int = 0,
+    vectors: Sequence[SparseVector] | CsrRows, labels: Sequence[int], c: float = 1.0,
+    tol: float = 1e-3, max_iters: int = 1000, n_features: int | None = None, seed: int = 0,
 ) -> LinearModel:
     """Fit the classifier; labels must be -1/+1 with both classes present,
     every feature index below ``n_features`` and every value finite."""
     for name, value in (("c", c), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    y = [float(label) for label in labels]
-    for label in y:
-        if label != 1.0 and label != -1.0:
-            raise ValueError(f"labels must be -1 or +1, got {label:g}")
-    if not (1.0 in y and -1.0 in y):
+    integral = isinstance(n_features, numbers.Integral) and not isinstance(n_features, bool)
+    if n_features is not None and not (integral and n_features >= 0):
+        raise ValueError(f"n_features must be an integer >= 0, got {n_features!r}")
+    y = np.array(labels, dtype=float)  # a contiguous copy, which the kernel reads
+    wrong = (y != 1.0) & (y != -1.0)
+    if wrong.any():
+        raise ValueError(f"labels must be -1 or +1, got {y[wrong][0]:g}")
+    if not ((y == 1.0).any() and (y == -1.0).any()):
         raise ValueError("training set must contain both classes")
     if len(vectors) != len(y):
         raise ValueError("vectors and labels length mismatch")
-    csr = indptr, indices, data = to_csr(vectors)
-    top = int(indices.max()) if len(indices) else -1
+    rows = to_csr(vectors)
+    indices, data = rows.indices, rows.data
     if n_features is None:
-        n_features = top + 1
-    elif top >= n_features:
-        raise ValueError(f"feature index {top} is out of range for {n_features} features")
+        n_features = int(indices.max(initial=-1)) + 1
+    outside = indices[(indices < 0) | (indices >= n_features)]
+    if len(outside):
+        raise ValueError(f"feature index {outside[0]} is out of range for {n_features} features")
     finite = np.isfinite(data)
     if not finite.all():
         raise ValueError(f"feature values must be finite, got {data[~finite][0]:g}")
 
     n = len(y)
-    y = np.array(y)
-    row_of = np.repeat(np.arange(n), np.diff(indptr))
-    qii = np.bincount(row_of, weights=data * data, minlength=n) + 1.0  # + the bias feature
+    qii = np.bincount(rows.entry_rows(), weights=data * data, minlength=n) + 1.0  # + the bias
     solve = _python_epochs if load_kernel() is None else _compiled_epochs
     weights, bias, history = solve(
-        csr, y, qii, c, tol, max_iters, n_features, np.random.default_rng(seed)
+        rows, y, qii, c, tol, max_iters, n_features, np.random.default_rng(seed)
     )
 
-    hinge = np.maximum(0.0, 1.0 - y * _margins(csr, weights, bias)).sum()
+    hinge = np.maximum(0.0, 1.0 - y * _margins(rows, weights, bias)).sum()
     primal = 0.5 * (float(weights @ weights) + bias * bias) + c * float(hinge)
 
     return LinearModel(
@@ -112,10 +112,10 @@ def train(
 
 
 def _python_epochs(csr, y, qii, c, tol, max_iters, n_features, rng):
-    """The epoch loop on Python floats; returns (weights, bias, dual history).
-    Each epoch visits the rows in the order of ``rng.permutation`` and stops
-    once the max violation is at most ``tol``."""
-    indptr, indices, data = (array.tolist() for array in csr)
+    """The epoch loop on Python floats over ``CsrRows``; returns (weights,
+    bias, dual history). Each epoch visits the rows in the order of
+    ``rng.permutation`` and stops once the max violation is at most ``tol``."""
+    indptr, indices, data = (a.tolist() for a in (csr.indptr, csr.indices, csr.data))
     rows = [tuple(zip(indices[s:e], data[s:e])) for s, e in zip(indptr, indptr[1:])]
     y, qii = y.tolist(), qii.tolist()
     n = len(rows)
@@ -172,7 +172,7 @@ def _python_epochs(csr, y, qii, c, tol, max_iters, n_features, rng):
 
 def _compiled_epochs(csr, y, qii, c, tol, max_iters, n_features, rng):
     """``_python_epochs`` with each epoch, and its dual value, run by one
-    kernel call on ``to_csr``'s arrays as they are."""
+    kernel call on the arrays of ``csr`` as they are."""
     import ctypes
 
     kernel = load_kernel()
@@ -182,7 +182,7 @@ def _compiled_epochs(csr, y, qii, c, tol, max_iters, n_features, rng):
     order = np.empty(n, dtype=np.intp)
     bias, dual = ctypes.c_double(0.0), ctypes.c_double(0.0)
     # addresses taken once; these arrays and the caller's outlive the loop
-    fixed_p = [array.ctypes.data for array in (*csr, y, qii)]
+    fixed_p = [a.ctypes.data for a in (csr.indptr, csr.indices, csr.data, y, qii)]
     order_p, w_p, alpha_p = order.ctypes.data, w.ctypes.data, alpha.ctypes.data
     bias_p, dual_p = ctypes.byref(bias), ctypes.byref(dual)
     history = []
@@ -254,21 +254,20 @@ def _compile_kernel(path: Path) -> None:
             os.unlink(partial)
 
 
-def _margins(csr, weights: np.ndarray, bias: float) -> np.ndarray:
-    """w.x + b of each CSR row as a loop adds it: the bias first, then the row's
+def _margins(rows: CsrRows, weights: np.ndarray, bias: float) -> np.ndarray:
+    """w.x + b of each row as a loop adds it: the bias first, then the row's
     products left to right; features at or beyond ``len(weights)`` add nothing."""
-    indptr, indices, data = csr
-    n = len(indptr) - 1
+    n, indices = len(rows), rows.indices
     inside = indices < len(weights)
-    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), np.diff(indptr))[inside]])
-    terms = np.concatenate([np.full(n, bias), data[inside] * weights[indices[inside]]])
-    return np.bincount(rows, weights=terms, minlength=n)
+    bins = np.concatenate([np.arange(n), rows.entry_rows()[inside]])
+    terms = np.concatenate([np.full(n, bias), rows.data[inside] * weights[indices[inside]]])
+    return np.bincount(bins, weights=terms, minlength=n)
 
 
-def score(model: LinearModel, csr) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted labels and decision values of the rows of ``to_csr``'s
-    arrays; an exact tie predicts +1."""
-    values = _margins(csr, model.weights, model.bias)
+def score(model: LinearModel, rows: CsrRows) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted labels and decision values of ``rows``; an exact tie
+    predicts +1."""
+    values = _margins(rows, model.weights, model.bias)
     return np.where(values >= 0.0, 1, -1), values
 
 

@@ -46,8 +46,11 @@ def _build_config(args: argparse.Namespace, **defaults) -> harness.ExperimentCon
     """Config from ``defaults``, then the --config file, then explicit flags."""
     base: dict = dict(defaults)
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                loaded = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             kind = type(loaded).__name__
             raise ValueError(f"config file must hold a JSON object, got {kind}")
@@ -117,9 +120,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
     train = corpus.training_documents(docs)
     if args.category:
         selected = [d.tokens for d in train if args.category in d.labels]
-        reference = {
-            t for d in train if args.category not in d.labels for t in d.tokens
-        }
+        reference = {t for d in train if args.category not in d.labels for t in d.tokens}
     else:
         selected = [d.tokens for d in train]
         reference = None
@@ -138,10 +139,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
         print(f"growth curve written; power-law fit skipped: {exc}")
         return 0
     analysis.write_fit_json(out_dir / "heaps_fit.json", fit)
-    print(
-        f"k={fit.k:.4g} theta={fit.theta:.4g} r2={fit.r2:.4g} "
-        f"({len(points)} points)"
-    )
+    print(f"k={fit.k:.4g} theta={fit.theta:.4g} r2={fit.r2:.4g} ({len(points)} points)")
     return 0
 
 
@@ -170,9 +168,7 @@ def cmd_vocab_eval(args: argparse.Namespace) -> int:
         harness.derive_seed(args.seed, args.category, "vocab-eval", gamma)
     )
     synthetic = chain.oversample(model, s, rng)
-    minority_test = [
-        d.tokens for d in task.test if args.category in d.labels
-    ]
+    minority_test = [d.tokens for d in task.test if args.category in d.labels]
     report = analysis.vocab_expansion_eval(synthetic, model.partition, minority_test)
     json.dump(
         {
@@ -216,9 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p_sweep, methods=False)  # a sweep runs emco only
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_growth = sub.add_parser(
-        "growth", help="vocabulary growth curve and power-law fit"
-    )
+    p_growth = sub.add_parser("growth", help="vocabulary growth curve and power-law fit")
     p_growth.add_argument("--corpus", required=True)
     p_growth.add_argument("--stopwords")
     p_growth.add_argument("--category", help="restrict to one category")
@@ -227,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_growth.add_argument("--output-dir")
     p_growth.set_defaults(func=cmd_growth)
 
-    p_vocab = sub.add_parser(
-        "vocab-eval", help="synthetic vocabulary expansion report"
-    )
+    p_vocab = sub.add_parser("vocab-eval", help="synthetic vocabulary expansion report")
     p_vocab.add_argument("--corpus", required=True)
     p_vocab.add_argument("--stopwords")
     p_vocab.add_argument("--category", required=True)

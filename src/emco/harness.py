@@ -8,12 +8,12 @@ depend on execution order or the worker-pool size.
 The plan walks each category once. Each ratio's tasks decide which categories
 qualify at which ratios; then each qualifying category gets one ``_TaskState``,
 built serially before any job runs: training labels by category membership,
-the minority and majority vector lists, the test labels and one chain model
+its minority and majority row numbers, the test labels and one chain model
 per gamma that mco and emco need. Jobs only read it. A job draws its synthetic
-vectors, trains one classifier and scores it, giving one row per ratio it
-serves: the unsampled ``none`` method does not depend on the ratio, so its job
-serves every ratio at which the category qualifies; any other method's job
-serves one ratio.
+rows, trains one classifier on ``prepare``'s training rows stacked with them
+and scores it, giving one row per ratio it serves: the unsampled ``none``
+method does not depend on the ratio, so its job serves every ratio at which
+the category qualifies; any other method's job serves one ratio.
 """
 
 from __future__ import annotations
@@ -91,9 +91,7 @@ class ExperimentConfig:
             if not value > 0:
                 raise ValueError(f"config key {key!r} must be > 0, got {value}")
             if not math.isfinite(value):
-                raise ValueError(
-                    f"config key {key!r} must be finite and > 0, got {value}"
-                )
+                raise ValueError(f"config key {key!r} must be finite and > 0, got {value}")
         # _run_jobs forks the workers after the first
         if self.workers > 1:
             import multiprocessing  # ~8 ms, so imported only where it is used
@@ -183,9 +181,9 @@ class _Prepared:
     docs: list[corpus.Document]
     tfidf: vectorize.TfidfModel
     train_docs: list[corpus.Document]
-    train_vectors: list[vectorize.SparseVector]
+    train_csr: vectorize.CsrRows  # one row per training document, in order
     test_docs: list[corpus.Document]
-    test_csr: tuple[np.ndarray, np.ndarray, np.ndarray]  # vectorize.to_csr's arrays
+    test_csr: vectorize.CsrRows
 
 
 def prepare(config: ExperimentConfig) -> _Prepared:
@@ -199,9 +197,9 @@ def prepare(config: ExperimentConfig) -> _Prepared:
         docs=docs,
         tfidf=tfidf,
         train_docs=train_docs,
-        train_vectors=[vectorize.transform(d, tfidf) for d in train_docs],
+        train_csr=vectorize.transform_rows((d.tokens for d in train_docs), tfidf),
         test_docs=test_docs,
-        test_csr=vectorize.to_csr([vectorize.transform(d, tfidf) for d in test_docs]),
+        test_csr=vectorize.transform_rows((d.tokens for d in test_docs), tfidf),
     )
 
 
@@ -215,8 +213,8 @@ class _TaskState:
 
     category: str
     train_y: list[int]  # +1 for training documents labeled with the category
-    minority: list[vectorize.SparseVector]
-    majority: list[vectorize.SparseVector]
+    minority: np.ndarray  # numbers of the +1 rows of ``_Prepared.train_csr``
+    majority: np.ndarray  # numbers of its -1 rows
     test_y: list[int]
     chains: dict[float, chain.TransitionModel]  # keyed by gamma
 
@@ -230,8 +228,8 @@ def _task_state(
     return _TaskState(
         category=task.category,
         train_y=train_y,
-        minority=[v for y, v in zip(train_y, prepared.train_vectors) if y == 1],
-        majority=[v for y, v in zip(train_y, prepared.train_vectors) if y == -1],
+        minority=np.flatnonzero(np.array(train_y) == 1),
+        majority=np.flatnonzero(np.array(train_y) == -1),
         test_y=[task.label(d) for d in prepared.test_docs],
         chains={
             gamma: chain.estimate(minority_tokens, majority_tokens, gamma)
@@ -248,26 +246,23 @@ def _synthetic(
     count: int,
     rng: np.random.Generator,
     config: ExperimentConfig,
-) -> list[vectorize.SparseVector]:
-    """The synthetic minority vectors one method adds to the training set."""
+) -> vectorize.CsrRows:
+    """The synthetic minority rows one method adds to the training rows."""
     n_features = prepared.tfidf.n_features
-    if method in ("smote", "adasyn") and len(state.minority) < 2:
+    minority = prepared.train_csr.take(state.minority)
+    if method in ("smote", "adasyn") and len(minority) < 2:
         method = "ros"  # too few minority points to interpolate
     if method == "none":
-        return []
+        return minority.take([])
     if method == "ros":
-        return baselines.ros(state.minority, count, rng)
+        return baselines.ros(minority, count, rng)
     if method == "smote":
-        return baselines.smote(
-            state.minority, count, config.k_neighbors, rng, n_features
-        )
+        return baselines.smote(minority, count, config.k_neighbors, rng, n_features)
     if method == "adasyn":
-        return baselines.adasyn(
-            state.minority, state.majority, count, config.k_neighbors, rng,
-            n_features,
-        )
+        majority = prepared.train_csr.take(state.majority)
+        return baselines.adasyn(minority, majority, count, config.k_neighbors, rng, n_features)
     documents = chain.oversample(state.chains[gamma], count, rng)  # mco, emco
-    return [vectorize.transform_tokens(t, prepared.tfidf) for t in documents]
+    return vectorize.transform_rows(documents, prepared.tfidf)
 
 
 def _run_one(
@@ -288,7 +283,7 @@ def _run_one(
     synthetic = _synthetic(prepared, state, method, gamma, s, rng, config)
 
     model = classifier.train(
-        prepared.train_vectors + synthetic,
+        prepared.train_csr.stack(synthetic),
         state.train_y + [1] * len(synthetic),
         c=config.c,
         tol=config.tol,
@@ -330,9 +325,7 @@ def _execute(
     qualifying: dict[str, tuple[corpus.OvrTask, list[float]]] = {}
     for ratio in config.sampling_ratios:
         tasks = corpus.build_ovr_tasks(prepared.docs, ratio)
-        frequencies[f"{ratio:g}"] = {
-            t.category: t.minority_train_frequency for t in tasks
-        }
+        frequencies[f"{ratio:g}"] = {t.category: t.minority_train_frequency for t in tasks}
         for task in tasks:
             if not task.evaluable:
                 reason = "test split lacks a class"
@@ -341,12 +334,8 @@ def _execute(
             else:
                 reason = None
             if reason:
-                log.warning(
-                    "skipping task %s at ratio %g: %s", task.category, ratio, reason
-                )
-                skipped.append(
-                    {"category": task.category, "ratio": ratio, "reason": reason}
-                )
+                log.warning("skipping task %s at ratio %g: %s", task.category, ratio, reason)
+                skipped.append({"category": task.category, "ratio": ratio, "reason": reason})
                 continue
             qualifying.setdefault(task.category, (task, []))[1].append(ratio)
 

@@ -5,11 +5,6 @@ from __future__ import annotations
 _VOWELS = frozenset("aeiou")
 
 
-def identity_stemmer(word: str) -> str:
-    """Stemmer that leaves every token unchanged. Useful in tests."""
-    return word
-
-
 class PorterStemmer:
     """Deterministic Porter stemmer over lowercase ASCII words.
 

@@ -2,11 +2,14 @@
 
 The model is fitted once on the original training documents and the same
 fitted transformation is reused for synthetic documents, so identical tokens
-always map to identical columns.
+always map to identical columns. Inside a run, documents are ``CsrRows`` from
+``transform_rows``; a ``SparseVector`` is one document at the public edge.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,17 +37,69 @@ class SparseVector:
         if any(v == 0.0 for _, v in self.entries):
             raise ValueError("entries must be nonzero")
 
-    def norm(self) -> float:
-        return _norm(self.entries)
-
     def to_dense(self, dim: int) -> np.ndarray:
         return to_dense([self], dim)[0]
 
     @staticmethod
     def from_dense(arr: np.ndarray) -> "SparseVector":
         """Every entry ``!= 0.0``: a NaN is kept for the readers' checks."""
-        return SparseVector(
-            tuple((int(i), float(v)) for i, v in enumerate(arr) if v != 0.0)
+        return SparseVector(tuple((int(i), float(v)) for i, v in enumerate(arr) if v != 0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class CsrRows:
+    """Rows in compressed sparse row form: row r holds the columns
+    ``indices[indptr[r]:indptr[r + 1]]`` with the values of ``data`` at the
+    same positions. ``len()`` is the row count, and ``rows[r]`` is row r as a
+    ``SparseVector``. The arrays are ``np.intp``, ``np.intp`` and float64 and
+    contiguous, so the compiled solver reads them as they are."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        indptr, indices, data = map(np.asarray, (self.indptr, self.indices, self.data))
+        if indices.size and indices.dtype.kind not in "iu":  # the cast would truncate them
+            raise ValueError(f"feature indices must be integers, got {indices.dtype} indices")
+        if not (indptr.dtype.kind in "iu" and len(indptr) and indptr[0] == 0
+                and indptr[-1] == len(indices) == len(data) and (np.diff(indptr) >= 0).all()):
+            raise ValueError("CSR indptr must rise from 0 to the number of entries")
+        for name, dtype in (("indptr", np.intp), ("indices", np.intp), ("data", float)):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype))
+
+    @staticmethod
+    def from_entries(rows: np.ndarray, indices, data, n_rows: int) -> "CsrRows":
+        """``n_rows`` rows from entries sorted by their row numbers ``rows``."""
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+        return CsrRows(indptr, indices, data)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, row: int) -> SparseVector:
+        row = range(len(self))[row]  # an IndexError past the last row ends iteration
+        s, e = self.indptr[row], self.indptr[row + 1]
+        return SparseVector(tuple(zip(self.indices[s:e].tolist(), self.data[s:e].tolist())))
+
+    def entry_rows(self) -> np.ndarray:
+        """The row number of each entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def take(self, rows) -> "CsrRows":
+        """The rows at the nonnegative positions ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts, lengths = self.indptr[rows], np.diff(self.indptr)[rows]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        entries = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CsrRows(indptr, self.indices[entries], self.data[entries])
+
+    def stack(self, other: "CsrRows") -> "CsrRows":
+        """These rows, then the rows of ``other``."""
+        return CsrRows(
+            np.concatenate((self.indptr, other.indptr[1:] + self.indptr[-1])),
+            np.concatenate((self.indices, other.indices)),
+            np.concatenate((self.data, other.data)),
         )
 
 
@@ -63,6 +118,10 @@ class TfidfModel:
     def idf(self, token: str) -> float:
         return math.log((self.n_docs + 1) / (self.df[token] + 1)) + 1.0
 
+    @functools.cached_property
+    def idf_by_column(self) -> np.ndarray:
+        return np.array([self.idf(t) for t in sorted(self.vocabulary, key=self.vocabulary.get)])
+
 
 def fit_tfidf(training_docs: Sequence[Document]) -> TfidfModel:
     """Fit vocabulary and document frequencies on the training split."""
@@ -75,57 +134,49 @@ def fit_tfidf(training_docs: Sequence[Document]) -> TfidfModel:
     return TfidfModel(vocabulary=vocab, df=dict(df), n_docs=len(training_docs))
 
 
+def transform_rows(documents: Iterable[Iterable[str]], model: TfidfModel) -> CsrRows:
+    """One row per token list: tf x idf, then each value divided by the row's
+    L2 norm; out-of-vocabulary tokens are dropped."""
+    column = model.vocabulary.get
+    per_row = [[column(t, -1) for t in tokens] for tokens in documents]
+    n_rows = len(per_row)
+    rows = np.repeat(np.arange(n_rows), [len(c) for c in per_row])
+    columns = np.fromiter(itertools.chain.from_iterable(per_row), np.intp, len(rows))
+    known = columns >= 0
+    width = model.n_features + 1
+    # sorted (row, column) pairs and their term counts
+    keys, tf = np.unique(rows[known] * width + columns[known], return_counts=True)
+    rows, columns = np.divmod(keys, width)
+    values = tf * model.idf_by_column[columns]
+    # np.bincount adds each row's squares left to right into a bin from 0.0; builtin
+    # sum() of floats would round differently from Python 3.12 on
+    norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=n_rows))
+    return CsrRows.from_entries(rows, columns, values / norms[rows], n_rows)
+
+
 def transform_tokens(tokens: Iterable[str], model: TfidfModel) -> SparseVector:
-    """tf x idf then L2 normalization; out-of-vocabulary tokens are dropped."""
-    counts = Counter(t for t in tokens if t in model.vocabulary)
-    if not counts:
-        return SparseVector(())
-    entries = sorted(
-        (model.vocabulary[t], c * model.idf(t)) for t, c in counts.items()
-    )
-    norm = _norm(entries)
-    return SparseVector(tuple((i, v / norm) for i, v in entries))
-
-
-def _norm(entries: Sequence[tuple[int, float]]) -> float:
-    """L2 norm, summed left to right: builtin ``sum()`` of floats rounds
-    differently from Python 3.12 on, and this norm reaches the results."""
-    total = 0.0
-    for _, v in entries:
-        total += v * v
-    return math.sqrt(total)
+    """One token list as ``transform_rows`` vectorizes it."""
+    return transform_rows([tokens], model)[0]
 
 
 def transform(doc: Document, model: TfidfModel) -> SparseVector:
     return transform_tokens(doc.tokens, model)
 
 
-def to_csr(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack sparse vectors into the CSR arrays ``(indptr, indices, data)``;
-    ``indptr`` and ``indices`` are ``np.intp`` arrays even when every vector
-    is empty; a non-integer index, which the cast would truncate, is rejected."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for vec in vectors:
-        for i, v in vec.entries:
-            indices.append(i)
-            data.append(v)
-        indptr.append(len(indices))
-    columns = np.array(indices)
-    if columns.size and columns.dtype.kind not in "iu":
-        raise ValueError(f"feature indices must be integers, got {columns.dtype} indices")
-    return (
-        np.array(indptr, dtype=np.intp),
-        columns.astype(np.intp, copy=False),
-        np.array(data, dtype=float),
-    )
+def to_csr(vectors: Sequence[SparseVector] | CsrRows) -> CsrRows:
+    """``vectors`` as ``CsrRows``; ``CsrRows`` are returned as they are."""
+    if isinstance(vectors, CsrRows):
+        return vectors
+    entries = [entry for vec in vectors for entry in vec.entries]
+    indices, data = zip(*entries) if entries else ((), ())
+    indptr = np.cumsum([0, *(len(vec.entries) for vec in vectors)])
+    return CsrRows(indptr, np.array(indices), np.array(data, dtype=float))
 
 
-def to_dense(vectors: Sequence[SparseVector], n_features: int) -> np.ndarray:
+def to_dense(vectors: Sequence[SparseVector] | CsrRows, n_features: int) -> np.ndarray:
     """One zero row per vector, set at its entries; an index >= ``n_features``
     raises ``IndexError``."""
-    indptr, indices, data = to_csr(vectors)
-    out = np.zeros((len(vectors), n_features))
-    out[np.repeat(np.arange(len(vectors)), np.diff(indptr)), indices] = data
+    rows = to_csr(vectors)
+    out = np.zeros((len(rows), n_features))
+    out[rows.entry_rows(), rows.indices] = rows.data
     return out

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emco import baselines
-from emco.vectorize import SparseVector, to_dense
+from emco.vectorize import CsrRows, SparseVector, to_csr, to_dense
 
 
 def sv(*dense):
@@ -292,7 +292,7 @@ class TestSparseInterpolation:
         count = int(rng.integers(0, 40))
         got = baselines.smote(minority, count, 3, make_rng(seed + 100), 10)
         want = dense_smote(minority, count, 3, make_rng(seed + 100), 10)
-        assert got == want
+        assert list(got) == want
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("make_rng", [np.random.default_rng, HalfStep])
@@ -303,7 +303,7 @@ class TestSparseInterpolation:
         count = int(rng.integers(0, 40))
         got = baselines.adasyn(minority, majority, count, 4, make_rng(seed + 200), 10)
         want = dense_adasyn(minority, majority, count, 4, make_rng(seed + 200), 10)
-        assert got == want
+        assert list(got) == want
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("make_rng", [np.random.default_rng, HalfStep])
@@ -314,14 +314,32 @@ class TestSparseInterpolation:
         )
         count = int(rng.integers(0, 40))
         got = baselines.smote(minority, count, 3, make_rng(seed + 300), d)
-        assert got == dense_smote(minority, count, 3, make_rng(seed + 300), d)
+        assert list(got) == dense_smote(minority, count, 3, make_rng(seed + 300), d)
         got = baselines.adasyn(minority, majority, count, 4, make_rng(seed + 400), d)
-        assert got == dense_adasyn(minority, majority, count, 4, make_rng(seed + 400), d)
+        assert list(got) == dense_adasyn(minority, majority, count, 4, make_rng(seed + 400), d)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_csr_rows_oversample_as_their_vector_lists(self, seed):
+        rng = np.random.default_rng(seed)
+        minority = random_sparse(rng, 6, 10)
+        majority = random_sparse(rng, 9, 10)
+        rows, majority_rows = to_csr(minority), to_csr(majority)
+        pairs = [
+            (baselines.ros(rows, 20, np.random.default_rng(seed)),
+             baselines.ros(minority, 20, np.random.default_rng(seed))),
+            (baselines.smote(rows, 20, 3, np.random.default_rng(seed), 10),
+             baselines.smote(minority, 20, 3, np.random.default_rng(seed), 10)),
+            (baselines.adasyn(rows, majority_rows, 20, 4, np.random.default_rng(seed), 10),
+             baselines.adasyn(minority, majority, 20, 4, np.random.default_rng(seed), 10)),
+        ]
+        for got, want in pairs:
+            assert isinstance(got, CsrRows) and len(got) == 20
+            assert list(got) == list(want)
 
     def test_cancelled_coordinates_are_dropped(self):
         minority = [sv(1, -2, 10), sv(-1, 2, 10), SparseVector(())]
         got = baselines.smote(minority, 6, 1, HalfStep(0), 3)
-        assert got == dense_smote(minority, 6, 1, HalfStep(0), 3)
+        assert list(got) == dense_smote(minority, 6, 1, HalfStep(0), 3)
         # 0 and 1 are each other's nearest neighbor: both midpoints keep
         # only the shared coordinate
         assert got[0] == got[1] == SparseVector(((2, 10.0),))

@@ -14,8 +14,8 @@ MAJ_3DOC = [["b", "c", "a"]]
 
 def w(model, src, dst):
     part = model.partition
-    i = part.stop_index if src == "<stop>" else part.index(src)
-    j = part.stop_index if dst == "<stop>" else part.index(dst)
+    i = part.stop_index if src == "<stop>" else part.words.index(src)
+    j = part.stop_index if dst == "<stop>" else part.words.index(dst)
     return model.weight(i, j)
 
 
@@ -41,7 +41,7 @@ class TestPartition:
         assert not set(part.v_min) & set(part.v_maj_only)
         assert list(part.words) == sorted(part.v_min) + sorted(part.v_maj_only)
         for idx, word in enumerate(part.words):
-            assert part.index(word) == idx
+            assert part.words.index(word) == idx
 
 
 class TestEstimate:
@@ -81,7 +81,7 @@ class TestEstimate:
         # 'z' is majority-only, so z->x must not be recorded anywhere
         model = chain.estimate([["x"]], [["z", "x"]], gamma=1.0)
         part = model.partition
-        assert model.stored_row(part.index("z")) is model.marginal_row
+        assert model.stored_row(part.words.index("z")) is model.marginal_row
 
     def test_self_transitions_zeroed(self):
         model = chain.estimate([["a", "a", "b"]], [], gamma=0.0)
@@ -127,8 +127,8 @@ class TestEstimate:
         stop = part.stop_index
         # stop column only carries minority ending counts, and the stop row
         # matches minority initial counts exactly
-        endings = Counter(part.index(d[-1]) for d in minority)
-        starts = Counter(part.index(d[0]) for d in minority)
+        endings = Counter(part.words.index(d[-1]) for d in minority)
+        starts = Counter(part.words.index(d[0]) for d in minority)
         for i in range(stop):
             assert model.weight(i, stop) == endings.get(i, 0)
             assert model.weight(stop, i) == starts.get(i, 0)
@@ -138,7 +138,7 @@ class TestEstimate:
         # gamma=0 never reaches outside the minority vocabulary
         if gamma == 0:
             for row in model.min_rows.values():
-                assert all(j == stop or part.is_min(int(j)) for j in row.indices)
+                assert all(j == stop or j < part.n_min for j in row.indices)
 
 
 class TestSampling:
@@ -153,11 +153,11 @@ class TestSampling:
             gamma=0.0,
             lengths=(3,),
             min_rows={
-                part.index("a"): chain._make_row({part.index("b"): 1.0}),
-                part.index("b"): chain._make_row({part.index("a"): 1.0}),
+                part.words.index("a"): chain._make_row({part.words.index("b"): 1.0}),
+                part.words.index("b"): chain._make_row({part.words.index("a"): 1.0}),
             },
-            stop_row=chain._make_row({part.index("a"): 1.0}),
-            marginal_row=chain._make_row({part.index("a"): 1.0}),
+            stop_row=chain._make_row({part.words.index("a"): 1.0}),
+            marginal_row=chain._make_row({part.words.index("a"): 1.0}),
         )
         assert chain.sample_document(forced, rng, length=3) == ["a", "b", "a"]
 
@@ -215,6 +215,13 @@ class TestSampling:
         assert chain.oversample(model, 0, rng) == []
         with pytest.raises(ValueError):
             chain.oversample(model, -1, rng)
+
+    @pytest.mark.parametrize("count", [2.5, True, "3"])
+    def test_oversample_count_must_be_an_integer(self, count):
+        model = chain.estimate([["a", "b"]], [], gamma=0.0)
+        with pytest.raises(ValueError) as exc:
+            chain.oversample(model, count, np.random.default_rng(1))
+        assert str(exc.value) == f"count must be an integer, got {count!r}"
 
     def test_empirical_transition_frequencies(self):
         # two-state chain: from a, go to b w.p. 2/3 and stop w.p. 1/3
@@ -294,7 +301,7 @@ def reference_estimate(minority_docs, majority_docs, gamma):
     stop = part.stop_index
     transitions, initial, marginal, lengths = {}, Counter(), Counter(), []
     for doc in minority_docs:
-        ids = [part.index(w) for w in doc]
+        ids = [part.words.index(w) for w in doc]
         lengths.append(len(ids))
         initial[ids[0]] += 1
         for a, b in zip(ids, ids[1:]):
@@ -303,9 +310,9 @@ def reference_estimate(minority_docs, majority_docs, gamma):
         marginal.update(ids)
     if gamma > 0:
         for doc in majority_docs:
-            ids = [part.index(w) for w in doc]
+            ids = [part.words.index(w) for w in doc]
             for a, b in zip(ids, ids[1:]):
-                if part.is_min(a):
+                if a < part.n_min:
                     transitions.setdefault(a, Counter())[b] += gamma
     for i, row in transitions.items():
         row.pop(i, None)

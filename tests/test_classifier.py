@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from emco import classifier
-from emco.vectorize import SparseVector, to_csr
+from emco.vectorize import CsrRows, SparseVector, to_csr
 
 
 def sv(*dense):
@@ -111,6 +111,11 @@ class TestTrain:
         ({"tol": -1}, "tol must be finite and > 0, got -1"),
         ({"tol": float("nan")}, "tol must be finite and > 0, got nan"),
         ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+        ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+        ({"max_iters": True}, "max_iters must be an integer, got True"),
+        ({"n_features": -1}, "n_features must be an integer >= 0, got -1"),
+        ({"n_features": 2.5}, "n_features must be an integer >= 0, got 2.5"),
+        ({"n_features": True}, "n_features must be an integer >= 0, got True"),
     ])
     def test_bad_solver_setting_rejected(self, request, monkeypatch, solver, kwargs, message):
         if solver == "python":
@@ -133,6 +138,31 @@ class TestTrain:
         with pytest.raises(ValueError, match="feature indices must be integers"):
             classifier.train(vectors, [1, -1])
 
+    @pytest.mark.parametrize("solver", ["compiled", "python"])
+    def test_csr_rows_train_as_their_vector_list(self, request, solver):
+        if solver == "python":
+            request.getfixturevalue("python_loop")
+        vectors, labels = random_sparse_problem(3)
+        kwargs = dict(c=0.5, tol=1e-6, max_iters=200, n_features=12, seed=3)
+        from_list = classifier.train(vectors, labels, **kwargs)
+        from_rows = classifier.train(to_csr(vectors[:9]).stack(to_csr(vectors[9:])), labels, **kwargs)
+        assert from_rows.weights.tolist() == from_list.weights.tolist()
+        assert from_rows.bias == from_list.bias and from_rows.objective == from_list.objective
+        assert from_rows.dual_objective_history == from_list.dual_objective_history
+
+    @pytest.mark.parametrize("rows, labels, message", [
+        (CsrRows([0, 1, 2], [0, -1], [1.0, 1.0]), [1, -1],
+         "feature index -1 is out of range for 2 features"),
+        (CsrRows([0, 1, 2], [0, 2], [1.0, 1.0]), [1, -1],
+         "feature index 2 is out of range for 2 features"),
+        (CsrRows([0, 1, 2], [0, 1], [1.0, np.inf]), [1, -1], "feature values must be finite, got inf"),
+        (CsrRows([0, 1, 2], [0, 1], [1.0, 1.0]), [1, -1, 1], "vectors and labels length mismatch"),
+    ])
+    def test_csr_rows_get_the_checks_of_a_list(self, rows, labels, message):
+        with pytest.raises(ValueError) as exc:
+            classifier.train(rows, labels, n_features=2)
+        assert str(exc.value) == message
+
     def test_zero_vectors_are_legal(self):
         vectors = [sv(1.0, 0.0), SparseVector(()), sv(-1.0, 0.0)]
         model = classifier.train(vectors, [1, -1, -1], n_features=2)
@@ -145,7 +175,8 @@ def reference_train(vectors, labels, c, tol, max_iters, n_features, seed):
     """The CSR/numpy epoch loop that ``classifier.train`` replaced: the bias is
     an augmented last column of ``w``. Returns (weights, bias)."""
     labels = np.asarray(labels, dtype=float)
-    indptr, indices, data = to_csr(vectors)
+    csr = to_csr(vectors)
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
     n = len(vectors)
     rows = [slice(indptr[i], indptr[i + 1]) for i in range(n)]
     qii = np.array([float(data[r] @ data[r]) for r in rows]) + 1.0
@@ -319,6 +350,41 @@ class TestTrainProperties:
 @pytest.mark.usefixtures("python_loop")
 class TestTrainPropertiesOnPythonLoop(TestTrainProperties):
     pass
+
+
+@pytest.fixture
+def compiled_kernel():
+    if classifier.load_kernel() is None:
+        pytest.skip("the compiled solver cannot be built here")
+
+
+@pytest.mark.usefixtures("compiled_kernel")
+class TestSolverAgreement:
+    @given(
+        sparse_problems(),
+        st.sampled_from([0.001, 0.01, 0.1, 1.0, 10.0]),
+        st.sampled_from([1e-1, 1e-3, 1e-9]),
+        st.integers(1, 50),
+        st.integers(0, 2 ** 32 - 1),
+        st.integers(0, 20),
+    )
+    # the same row with both labels holds alpha at the c bound
+    @example(([sv(0.5, 0.5)] * 2 + [SparseVector(())], [1, -1, 1]), 0.001, 1e-9, 20, 0, 1)
+    @example(([SparseVector(())] * 3, [1, -1, -1]), 0.01, 1e-3, 10, 1, 3)  # empty rows only
+    @example(([sv(1.0, -0.5), sv(0.25), sv(1.0, -0.5)], [1, -1, -1]), 1.0, 1e-9, 1, 2, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_compiled_and_python_epochs_are_equal(self, problem, c, tol, max_iters, seed, split):
+        """Both solvers give the same weights, bias and dual history, also on
+        rows stacked from two ``CsrRows`` as the harness stacks them."""
+        vectors, labels = problem
+        rows = to_csr(vectors[:split]).stack(to_csr(vectors[split:]))
+        y = np.array(labels, dtype=float)
+        qii = np.bincount(rows.entry_rows(), weights=rows.data ** 2, minlength=len(y)) + 1.0
+        args = (rows, y, qii, c, tol, max_iters, 6)
+        w, b, history = classifier._compiled_epochs(*args, np.random.default_rng(seed))
+        want = classifier._python_epochs(*args, np.random.default_rng(seed))
+        assert (w.tolist(), b, history) == (want[0].tolist(), want[1], want[2])
+        assert 1 <= len(history) <= max_iters
 
 
 def write_failing_cc(bin_dir, marker):

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from emco import cli, corpus
-from emco.stemming import PorterStemmer, identity_stemmer
+from emco.stemming import PorterStemmer
 
 from conftest import make_raw
+
+
+def identity_stemmer(word):
+    return word
 
 
 def run_pipeline(raws, stopwords=frozenset(), stemmer=identity_stemmer):

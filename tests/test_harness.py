@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emco
-from emco import chain, classifier, cli, corpus, harness
+from emco import chain, classifier, cli, corpus, harness, vectorize
 from emco.data import mini_corpus_path
 
 
@@ -344,7 +344,7 @@ class TestTaskState:
         prepared = harness.prepare(config)
         expected = [1 if "c" in d.labels else -1 for d in prepared.train_docs]
         assert expected.count(1) == 2
-        c_vectors = {v for y, v in zip(expected, prepared.train_vectors) if y == 1}
+        c_vectors = {v for y, v in zip(expected, prepared.train_csr) if y == 1}
 
         read_calls = record_training(monkeypatch, tmp_path)
         rows, _, _ = harness._execute(config)
@@ -355,6 +355,17 @@ class TestTaskState:
         for vectors, labels in calls:
             assert labels[:n] == expected
             assert set(vectors[n:]) <= c_vectors  # ros copies minority rows only
+
+    def test_trainings_stack_the_prepared_rows_without_rebuilding_them(self, monkeypatch):
+        config = harness.ExperimentConfig(
+            corpus_path=str(mini_corpus_path()), sampling_ratios=(0.2,), repetitions=1
+        )
+        converted = []
+        real = classifier.to_csr
+        monkeypatch.setattr(classifier, "to_csr", lambda v: converted.append(v) or real(v))
+        rows, _, _ = harness._execute(config)
+        assert len(converted) == len(rows) > 0
+        assert all(isinstance(v, vectorize.CsrRows) for v in converted)
 
     def test_category_without_training_document_is_skipped(self, tmp_path, caplog):
         path = write_test_only_category_corpus(tmp_path)
@@ -785,6 +796,19 @@ class TestCli:
         ])
         assert rc == 1
         assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"corpus_path": ', "Expecting value: line 1 column 17 (char 16)"),
+        (b'{"dataset": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9 in position 16"),
+    ], ids=["not-json", "not-utf8"])
+    def test_unreadable_config_file_is_named(self, tmp_path, capsys, content, reason):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(content)
+        rc = cli.main(["run", "--config", str(config_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: {reason}")
+        assert err.count("\n") == 1
 
     def test_sweep_writes_the_gammas_flag_grid(self, tmp_path):
         out = tmp_path / "out"

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from emco import corpus
 from emco.data import mini_corpus_path
-from emco.stemming import PorterStemmer, identity_stemmer
+from emco.stemming import PorterStemmer
 
 # canonical input/output pairs from the published algorithm description
 CANONICAL = [
@@ -125,10 +125,6 @@ def test_cached_stems_match_fresh_stemmer():
     cached = PorterStemmer()
     assert len(set(tokens)) < len(tokens)
     assert [cached(tok) for tok in tokens] == [PorterStemmer()(tok) for tok in tokens]
-
-
-def test_identity_stemmer():
-    assert identity_stemmer("running") == "running"
 
 
 @pytest.mark.parametrize("table", ["_STEP2", "_STEP3", "_STEP4"])

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestTransform:
         for d in mini_docs:
             vec = vectorize.transform(d, model)
             if vec.entries:
-                assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+                assert math.hypot(*(v for _, v in vec.entries)) == pytest.approx(1.0, abs=1e-9)
 
     @given(st.lists(st.sampled_from(["ant", "bee", "cat", "dog"]), min_size=1, max_size=12))
     def test_order_independence(self, tokens):
@@ -82,6 +83,89 @@ class TestTransform:
         first = vectorize.transform_tokens(synthetic + ["shared"], model)
         second = vectorize.transform_tokens(["shared"], model)
         assert [i for i, _ in first.entries] == [i for i, _ in second.entries]
+
+
+def reference_transform(tokens, model):
+    """The per-document loop that ``transform_rows`` replaced: tf x idf in
+    column order, then each value over the norm summed left to right."""
+    counts = Counter(t for t in tokens if t in model.vocabulary)
+    entries = sorted((model.vocabulary[t], c * model.idf(t)) for t, c in counts.items())
+    total = 0.0
+    for _, v in entries:
+        total += v * v
+    return tuple((i, v / math.sqrt(total)) for i, v in entries)
+
+
+class TestTransformRows:
+    WORDS = ["ant", "bee", "cat", "dog", "eel", "fox", "gnu"]
+
+    @given(st.lists(st.lists(st.sampled_from(WORDS + ["oov"]), max_size=30), max_size=8))
+    def test_rows_equal_the_per_document_loop(self, documents):
+        model = vectorize.fit_tfidf(
+            [doc(self.WORDS[i::3] * (i + 1)) for i in range(3)] + [doc(["ant"])]
+        )
+        rows = vectorize.transform_rows(documents, model)
+        assert len(rows) == len(documents)
+        assert [r.entries for r in rows] == [reference_transform(d, model) for d in documents]
+
+    def test_mini_corpus_rows_equal_the_per_document_loop(self, mini_docs):
+        model = vectorize.fit_tfidf(corpus.training_documents(mini_docs))
+        rows = vectorize.transform_rows((d.tokens for d in mini_docs), model)
+        assert [r.entries for r in rows] == [reference_transform(d.tokens, model) for d in mini_docs]
+
+
+class TestCsrRows:
+    ROWS = [((0, 1.0), (2, -0.5)), (), ((1, 2.0),), ((0, 3.0), (1, 4.0), (2, 5.0))]
+
+    def rows(self):
+        return vectorize.to_csr([vectorize.SparseVector(e) for e in self.ROWS])
+
+    def test_rows_read_as_sparse_vectors(self):
+        rows = self.rows()
+        assert len(rows) == 4
+        assert [v.entries for v in rows] == self.ROWS
+        assert rows[-1].entries == self.ROWS[-1]
+        with pytest.raises(IndexError):
+            rows[4]
+
+    def test_to_csr_returns_csr_rows_as_they_are(self):
+        rows = self.rows()
+        assert vectorize.to_csr(rows) is rows
+
+    @pytest.mark.parametrize("picks", [[3, 1, 3, 0], [], [1, 1], [2]])
+    def test_take(self, picks):
+        taken = self.rows().take(np.array(picks))
+        assert [v.entries for v in taken] == [self.ROWS[i] for i in picks]
+        assert taken.indptr.dtype == taken.indices.dtype == np.intp
+
+    @pytest.mark.parametrize("split", range(5))
+    def test_stack(self, split):
+        first = vectorize.to_csr([vectorize.SparseVector(e) for e in self.ROWS[:split]])
+        second = vectorize.to_csr([vectorize.SparseVector(e) for e in self.ROWS[split:]])
+        stacked = first.stack(second)
+        assert [v.entries for v in stacked] == self.ROWS
+        assert all(a.flags.c_contiguous for a in (stacked.indptr, stacked.indices, stacked.data))
+
+    def test_arrays_are_cast_for_the_solver(self):
+        rows = vectorize.CsrRows(np.array([0, 1], dtype=np.int32), [2], np.array([1], dtype=np.int8))
+        assert rows.indptr.dtype == rows.indices.dtype == np.intp
+        assert rows.data.dtype == np.float64 and rows.data.tolist() == [1.0]
+
+    @pytest.mark.parametrize("indptr, indices, data", [
+        ([], [], []),
+        ([1, 1], [], []),
+        ([0, 2], [0], [1.0]),
+        ([0, 1], [0], [1.0, 2.0]),
+        ([0, 2, 1], [0, 1], [1.0, 2.0]),
+        ([0.0, 1.0], [0], [1.0]),
+    ])
+    def test_malformed_indptr_rejected(self, indptr, indices, data):
+        with pytest.raises(ValueError, match="CSR indptr must rise from 0 to the number of entries"):
+            vectorize.CsrRows(indptr, indices, data)
+
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(ValueError, match="feature indices must be integers, got float64"):
+            vectorize.CsrRows([0, 1], [0.5], [1.0])
 
 
 class TestSparseVector:
@@ -153,14 +237,15 @@ class TestSparseVector:
 
     def test_to_csr_shape(self):
         vecs = [vectorize.SparseVector(((0, 1.0), (2, -0.5))), vectorize.SparseVector(())]
-        full = indptr, indices, data = vectorize.to_csr(vecs)
-        assert indptr.tolist() == [0, 2, 2]
-        assert indices.tolist() == [0, 2] and data.tolist() == [1.0, -0.5]
-        empty = indptr, indices, data = vectorize.to_csr([vectorize.SparseVector(())] * 2)
-        assert indptr.tolist() == [0, 0, 0]
-        assert indices.size == data.size == 0
+        full = vectorize.to_csr(vecs)
+        assert full.indptr.tolist() == [0, 2, 2]
+        assert full.indices.tolist() == [0, 2] and full.data.tolist() == [1.0, -0.5]
+        empty = vectorize.to_csr([vectorize.SparseVector(())] * 2)
+        assert empty.indptr.tolist() == [0, 0, 0]
+        assert empty.indices.size == empty.data.size == 0
+        assert len(full) == len(empty) == 2
         # the compiled solver reads these arrays as they are
-        for indptr, indices, data in (full, empty):
+        for indptr, indices, data in ((r.indptr, r.indices, r.data) for r in (full, empty)):
             assert indices.dtype == indptr.dtype == np.intp
             assert data.dtype == np.float64
             assert all(a.flags.c_contiguous for a in (indptr, indices, data))
