@@ -8,7 +8,7 @@ from .corpus import (
 )
 from .harness import ExperimentConfig, gamma_sweep, run, synthetic_count
 from .metrics import ConfusionCounts, compute_metrics, macro_average
-from .vectorize import CsrRows, SparseVector, TfidfModel, fit_tfidf, transform
+from .vectorize import CsrRows, SparseVector, TfidfModel, fit_tfidf, transform_tokens
 
 __version__ = "0.1.0"
 
@@ -36,5 +36,5 @@ __all__ = [
     "sample_document",
     "synthetic_count",
     "tokenize",
-    "transform",
+    "transform_tokens",
 ]

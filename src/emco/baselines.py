@@ -6,7 +6,7 @@ not re-normalized to unit L2. Neighbor search is a brute-force Euclidean
 scan, which is plenty at desk scale; ties are broken by lower index.
 
 Each oversampler reads ``CsrRows`` or a ``SparseVector`` list and returns ``CsrRows``.
-Neighbor search runs on dense rows: many tf-idf vectors with disjoint
+Only ``_neighbor_orders`` makes dense rows: many tf-idf vectors with disjoint
 supports lie exactly sqrt(2) apart, and a sparse distance formula rounds
 those ties differently, which would change which neighbor is picked.
 Interpolation needs no such care, so it runs on the sparse entries over the
@@ -58,8 +58,9 @@ def _minority_k(name: str, n: int, k: int) -> int:
     return min(k, n - 1)
 
 
-def _neighbor_orders(points: np.ndarray, n: int) -> list[np.ndarray]:
+def _neighbor_orders(rows: CsrRows, n_features: int, n: int) -> list[np.ndarray]:
     """For each of the first n rows, every other row from nearest to farthest."""
+    points = to_dense(rows, n_features)
     index = NeighborIndex(points)
     return [index.query(points[i], len(points) - 1, exclude=i) for i in range(n)]
 
@@ -110,7 +111,7 @@ def smote(
     minority = to_csr(minority)
     n = len(minority)
     k_min = _minority_k("smote", n, k)
-    neighbors = [o[:k_min] for o in _neighbor_orders(to_dense(minority, n_features), n)]
+    neighbors = [o[:k_min] for o in _neighbor_orders(minority, n_features, n)]
     return _interpolate(minority, neighbors, np.arange(count) % n, rng)
 
 
@@ -150,9 +151,9 @@ def adasyn(
     minority = to_csr(minority)
     n = len(minority)
     k_min = _minority_k("adasyn", n, k)
-    all_points = to_dense(minority.stack(to_csr(majority)), n_features)
-    k_all = min(k, len(all_points) - 1)
-    orders = _neighbor_orders(all_points, n)
+    all_rows = minority.stack(to_csr(majority))
+    k_all = min(k, len(all_rows) - 1)
+    orders = _neighbor_orders(all_rows, n_features, n)
     ratios = np.array([np.count_nonzero(order[:k_all] >= n) / k_all for order in orders])
     allot = largest_remainder(ratios if ratios.sum() > 0 else np.ones(n), count)
     neighbors = [order[order < n][:k_min] for order in orders]

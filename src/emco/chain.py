@@ -24,7 +24,6 @@ import math
 import numbers
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -159,23 +158,20 @@ def estimate(
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
 
     part = VocabPartition.from_corpora(minority_docs, majority_docs)
-    index, n_min = part._index, part.n_min
+    index, n_min, stop = part._index, part.n_min, part.stop_index
 
     # minority counts before gamma terms, in document order: fixed float sums.
-    # Every minority word is followed by a word or by the stop state, so each
-    # has a row.
-    transitions: list[dict[int, float]] = [{} for _ in range(n_min)]
-    initial: dict[int, int] = {}
-    marginal: Counter[int] = Counter()
-
+    # Each document opens and closes with the stop state; the opening pairs
+    # count in the extra row n_min; majority-only words start no minority pair.
+    # Each word occurrence starts one pair: a row's total is its word's count.
+    transitions: list[dict[int, float]] = [{} for _ in range(n_min + 1)]
     for doc in minority_docs:
-        ids = [index[w] for w in doc]
-        initial[ids[0]] = initial.get(ids[0], 0) + 1
-        marginal.update(ids)
-        ids.append(part.stop_index)  # the last word's pair is its end
+        ids = [n_min, *map(index.__getitem__, doc), stop]
         for a, b in zip(ids, ids[1:]):
             row = transitions[a]
             row[b] = row.get(b, 0) + 1
+    stop_row = _make_row(transitions.pop())
+    marginal_row = _make_row({i: sum(row.values()) for i, row in enumerate(transitions)})
 
     if gamma > 0:
         for doc in majority_docs:
@@ -200,8 +196,8 @@ def estimate(
         gamma=gamma,
         lengths=tuple(map(len, minority_docs)),
         min_rows=min_rows,
-        stop_row=_make_row(initial),
-        marginal_row=_make_row(marginal),
+        stop_row=stop_row,
+        marginal_row=marginal_row,
     )
 
 

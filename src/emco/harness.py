@@ -168,9 +168,10 @@ def synthetic_count(n_train: int, m_minority: int, ratio: float) -> int:
     return s
 
 
-def method_label(method: str, gamma: float | None) -> str:
+def method_label(method: str, gamma: str) -> str:
+    """``gamma`` is the gamma label of the method's result rows."""
     if method == "emco":
-        return f"emco(gamma={gamma:g})"
+        return f"emco(gamma={gamma})"
     return method
 
 
@@ -448,9 +449,7 @@ def aggregate_rows(
     by the ratio label of the rows."""
     groups: dict[tuple[str, str], list[Mapping]] = {}
     for row in rows:
-        label = method_label(
-            row["method"], float(row["gamma"]) if row["gamma"] != "" else None
-        )
+        label = method_label(row["method"], row["gamma"])
         groups.setdefault((label, row["sampling_ratio"]), []).append(row)
 
     out = {}
@@ -493,7 +492,7 @@ def gamma_sweep(config: ExperimentConfig) -> list[dict]:
     sweep_rows = []
     for gamma in config.gammas:
         for ratio in config.sampling_ratios:
-            prefix = f"{method_label('emco', gamma)}|{ratio:g}|"
+            prefix = method_label("emco", f"{gamma:g}") + f"|{ratio:g}|"
             sweep_rows += [
                 {
                     "gamma": gamma,

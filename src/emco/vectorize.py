@@ -8,7 +8,6 @@ always map to identical columns. Inside a run, documents are ``CsrRows`` from
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -60,6 +59,9 @@ class CsrRows:
 
     def __post_init__(self):
         indptr, indices, data = map(np.asarray, (self.indptr, self.indices, self.data))
+        for name, array in (("indptr", indptr), ("indices", indices), ("data", data)):
+            if array.ndim != 1:
+                raise ValueError(f"CSR {name} must be one-dimensional, got shape {array.shape}")
         if indices.size and indices.dtype.kind not in "iu":  # the cast would truncate them
             raise ValueError(f"feature indices must be integers, got {indices.dtype} indices")
         if not (indptr.dtype.kind in "iu" and len(indptr) and indptr[0] == 0
@@ -103,35 +105,29 @@ class CsrRows:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TfidfModel:
-    """Fitted vocabulary index, document frequencies, and training size."""
+    """Fitted vocabulary index and the smoothed idf of each column."""
 
     vocabulary: dict[str, int]  # token -> column, lexicographic order
-    df: dict[str, int]
-    n_docs: int
+    idf: np.ndarray  # float64, by column
 
     @property
     def n_features(self) -> int:
         return len(self.vocabulary)
 
-    def idf(self, token: str) -> float:
-        return math.log((self.n_docs + 1) / (self.df[token] + 1)) + 1.0
-
-    @functools.cached_property
-    def idf_by_column(self) -> np.ndarray:
-        return np.array([self.idf(t) for t in sorted(self.vocabulary, key=self.vocabulary.get)])
-
 
 def fit_tfidf(training_docs: Sequence[Document]) -> TfidfModel:
-    """Fit vocabulary and document frequencies on the training split."""
+    """Fit the vocabulary and each column's smoothed idf on the training split."""
     if not training_docs:
         raise ValueError("cannot fit tf-idf on an empty training set")
     df: Counter[str] = Counter()
     for doc in training_docs:
         df.update(set(doc.tokens))
     vocab = {tok: col for col, tok in enumerate(sorted(df))}
-    return TfidfModel(vocabulary=vocab, df=dict(df), n_docs=len(training_docs))
+    n = len(training_docs)
+    idf = np.array([math.log((n + 1) / (df[t] + 1)) + 1.0 for t in vocab])
+    return TfidfModel(vocabulary=vocab, idf=idf)
 
 
 def transform_rows(documents: Iterable[Iterable[str]], model: TfidfModel) -> CsrRows:
@@ -147,7 +143,7 @@ def transform_rows(documents: Iterable[Iterable[str]], model: TfidfModel) -> Csr
     # sorted (row, column) pairs and their term counts
     keys, tf = np.unique(rows[known] * width + columns[known], return_counts=True)
     rows, columns = np.divmod(keys, width)
-    values = tf * model.idf_by_column[columns]
+    values = tf * model.idf[columns]
     # np.bincount adds each row's squares left to right into a bin from 0.0; builtin
     # sum() of floats would round differently from Python 3.12 on
     norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=n_rows))
@@ -157,10 +153,6 @@ def transform_rows(documents: Iterable[Iterable[str]], model: TfidfModel) -> Csr
 def transform_tokens(tokens: Iterable[str], model: TfidfModel) -> SparseVector:
     """One token list as ``transform_rows`` vectorizes it."""
     return transform_rows([tokens], model)[0]
-
-
-def transform(doc: Document, model: TfidfModel) -> SparseVector:
-    return transform_tokens(doc.tokens, model)
 
 
 def to_csr(vectors: Sequence[SparseVector] | CsrRows) -> CsrRows:

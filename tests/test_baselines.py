@@ -61,6 +61,22 @@ def test_negative_count_rejected(oversample):
     assert str(exc.value) == "count must be nonnegative, got -1"
 
 
+@pytest.mark.parametrize("oversample", [
+    lambda rows, rng: baselines.smote(rows[:3], 4, 2, rng, 2),
+    lambda rows, rng: baselines.adasyn(rows[:3], rows[3:], 4, 2, rng, 2),
+], ids=["smote", "adasyn"])
+def test_one_dense_copy_per_oversampler(oversample, monkeypatch):
+    calls = []
+
+    def counted(vectors, n_features):
+        calls.append(len(vectors))
+        return to_dense(vectors, n_features)
+
+    monkeypatch.setattr(baselines, "to_dense", counted)
+    oversample([sv(1, 0), sv(0, 1), sv(1, 1), sv(5, 5), sv(4, 0)], np.random.default_rng(0))
+    assert len(calls) == 1
+
+
 class TestSmote:
     def test_points_lie_on_neighbor_segments(self):
         rng = np.random.default_rng(5)

@@ -345,6 +345,22 @@ class TestOnePassEstimate:
             for name in ("indices", "weights", "cumsum"):
                 assert np.array_equal(getattr(g, name), getattr(w, name)), (i, name)
 
+    @given(
+        st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=12),
+                 min_size=1, max_size=8),
+        st.lists(st.lists(st.sampled_from("defghij"), min_size=1, max_size=12),
+                 max_size=8),
+        st.sampled_from([0.0, 0.3]),
+    )
+    def test_stop_and_marginal_rows_count_the_minority_tokens(self, minority, majority, gamma):
+        model = chain.estimate(minority, majority, gamma)
+
+        def by_word(row):
+            return {model.partition.words[t]: w for t, w in zip(row.targets, row.weight_values)}
+
+        assert by_word(model.stop_row) == Counter(doc[0] for doc in minority)
+        assert by_word(model.marginal_row) == Counter(w for doc in minority for w in doc)
+
 
 MINORITY_DOCS = st.lists(
     st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), min_size=1, max_size=5

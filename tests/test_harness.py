@@ -205,10 +205,10 @@ class TestSyntheticCount:
 
 class TestMethodLabel:
     def test_labels(self):
-        assert harness.method_label("ros", None) == "ros"
-        assert harness.method_label("mco", 0.0) == "mco"
-        assert harness.method_label("emco", 1.0) == "emco(gamma=1)"
-        assert harness.method_label("emco", 0.01) == "emco(gamma=0.01)"
+        assert harness.method_label("ros", "") == "ros"
+        assert harness.method_label("mco", "0") == "mco"
+        assert harness.method_label("emco", "1") == "emco(gamma=1)"
+        assert harness.method_label("emco", "0.01") == "emco(gamma=0.01)"
 
 
 @pytest.fixture(scope="module")

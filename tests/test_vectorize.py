@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,20 +13,24 @@ def doc(tokens, id="d", split="train"):
     return corpus.Document(id, tuple(tokens), frozenset({"x"}), split)
 
 
+def idf(model, token):
+    return model.idf[model.vocabulary[token]]
+
+
 class TestFit:
     def test_smoothed_idf_value(self):
         model = vectorize.fit_tfidf([doc(["rare", "filler"]), doc(["filler"]), doc(["filler"])])
-        assert model.idf("rare") == pytest.approx(math.log(4 / 2) + 1, abs=1e-4)
-        assert model.idf("rare") == pytest.approx(1.6931, abs=1e-4)
+        assert idf(model, "rare") == pytest.approx(math.log(4 / 2) + 1, abs=1e-4)
+        assert idf(model, "rare") == pytest.approx(1.6931, abs=1e-4)
 
     def test_idf_collapses_for_ubiquitous_token(self):
         docs = [doc(["every", "other"]) for _ in range(5)]
         model = vectorize.fit_tfidf(docs)
-        assert model.idf("every") == pytest.approx(1.0)
+        assert idf(model, "every") == pytest.approx(1.0)
 
     def test_single_doc(self):
         model = vectorize.fit_tfidf([doc(["only"])])
-        assert model.idf("only") == pytest.approx(1.0)
+        assert idf(model, "only") == pytest.approx(1.0)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
@@ -35,11 +40,15 @@ class TestFit:
         model = vectorize.fit_tfidf([doc(["zeta", "alpha", "mid"])])
         assert model.vocabulary == {"alpha": 0, "mid": 1, "zeta": 2}
 
-    def test_df_bounds(self):
-        docs = [doc(["a" * (i + 1), "shared"]) for i in range(4)]
-        model = vectorize.fit_tfidf(docs)
-        for token, df in model.df.items():
-            assert 1 <= df <= model.n_docs
+    @given(st.lists(st.lists(st.sampled_from(["ant", "bee", "cat", "dog"]), max_size=6),
+                    min_size=1, max_size=8))
+    def test_idf_is_the_smoothed_formula_by_column(self, token_lists):
+        model = vectorize.fit_tfidf([doc(tokens) for tokens in token_lists])
+        n = len(token_lists)
+        assert model.idf.dtype == np.float64 and model.idf.shape == (model.n_features,)
+        for token, column in model.vocabulary.items():
+            df = sum(token in tokens for tokens in token_lists)
+            assert model.idf[column] == math.log((n + 1) / (df + 1)) + 1.0
 
 
 class TestTransform:
@@ -65,7 +74,7 @@ class TestTransform:
     def test_unit_norm_invariant(self, mini_docs):
         model = vectorize.fit_tfidf(corpus.training_documents(mini_docs))
         for d in mini_docs:
-            vec = vectorize.transform(d, model)
+            vec = vectorize.transform_tokens(d.tokens, model)
             if vec.entries:
                 assert math.hypot(*(v for _, v in vec.entries)) == pytest.approx(1.0, abs=1e-9)
 
@@ -89,7 +98,7 @@ def reference_transform(tokens, model):
     """The per-document loop that ``transform_rows`` replaced: tf x idf in
     column order, then each value over the norm summed left to right."""
     counts = Counter(t for t in tokens if t in model.vocabulary)
-    entries = sorted((model.vocabulary[t], c * model.idf(t)) for t, c in counts.items())
+    entries = sorted((model.vocabulary[t], c * float(idf(model, t))) for t, c in counts.items())
     total = 0.0
     for _, v in entries:
         total += v * v
@@ -161,6 +170,17 @@ class TestCsrRows:
     ])
     def test_malformed_indptr_rejected(self, indptr, indices, data):
         with pytest.raises(ValueError, match="CSR indptr must rise from 0 to the number of entries"):
+            vectorize.CsrRows(indptr, indices, data)
+
+    @pytest.mark.parametrize("indptr, indices, data, name, shape", [
+        ([0, 1, 2], [[0], [1]], [[1.0], [2.0]], "indices", (2, 1)),
+        ([[0], [1], [2]], [0, 1], [1.0, 2.0], "indptr", (3, 1)),
+        ([0, 1], [0], [[1.0]], "data", (1, 1)),
+        (0, [], [], "indptr", ()),
+    ])
+    def test_arrays_that_are_not_one_dimensional_rejected(self, indptr, indices, data, name, shape):
+        message = f"CSR {name} must be one-dimensional, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             vectorize.CsrRows(indptr, indices, data)
 
     def test_non_integer_indices_rejected(self):
