@@ -2,51 +2,170 @@
 
 These operate directly on tf-idf vectors and therefore cannot leave the
 convex hull of the minority sample. Interpolated vectors are deliberately
-not re-normalized to unit L2. Neighbor search is a brute-force Euclidean
-scan, which is plenty at desk scale; ties are broken by lower index.
+not re-normalized to unit L2.
 
 Each oversampler reads ``CsrRows`` or a ``SparseVector`` list and returns ``CsrRows``.
-Only ``_neighbor_orders`` makes dense rows: many tf-idf vectors with disjoint
-supports lie exactly sqrt(2) apart, and a sparse distance formula rounds
-those ties differently, which would change which neighbor is picked.
-Interpolation needs no such care, so it runs on the sparse entries over the
-union of the two supports and gives bit-for-bit the dense result.
+``NeighborIndex`` finds neighbors in two steps. A sparse Gram product over a
+column index of the rows gives every squared distance as |a|^2 + |b|^2 - 2 a.b,
+and picks as candidates the rows that could be among the k nearest. That formula
+rounds differently from the sum of squared differences, and many tf-idf vectors
+with disjoint supports lie exactly sqrt(2) apart, so it could pick another
+neighbor at a tie. The candidates are therefore ordered by the exact distance of
+a dense scan, on dense rows of the queries and their candidates only, with ties
+going to the lower index. Interpolation needs no such care, so it runs on the
+sparse entries over the union of the two supports and gives bit-for-bit the
+dense result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .chain import check_count
-from .vectorize import CsrRows, SparseVector, to_csr, to_dense
+from .vectorize import CsrRows, SparseVector, check_finite, to_csr, to_dense
 
 Rows = Sequence[SparseVector] | CsrRows
 
+# Work of one block of the neighbor search, in float64 entries. A block of
+# queries holds one Gram row per query plus one product per reference entry in
+# the query's columns; one chunk of the exact step holds as many entries of
+# dense difference rows. No temporary grows with the reference rows times the
+# features.
+_BLOCK_WORK = 1 << 17
+# Each squared-distance formula errs by at most about (entries per row + log2
+# of the features) units in the last place of |a|^2 + |b|^2, far below this
+# relative slack for rows of up to millions of entries; the absolute floor
+# covers rounding among subnormal numbers.
+_RELATIVE_SLACK = 1e-9
+_ABSOLUTE_SLACK = 1e-300
 
-@dataclass(frozen=True)
+
 class NeighborIndex:
-    """Brute-force k-nearest-neighbor index over dense reference points."""
+    """Exact k-nearest-neighbor search by Euclidean distance over reference
+    rows, with ties going to the lower index.
 
-    points: np.ndarray  # (n, d)
+    ``points`` is a dense (n, d) array, or ``CsrRows`` with their ``n_features``.
+    """
+
+    def __init__(self, points: np.ndarray | CsrRows, n_features: int | None = None):
+        if not isinstance(points, CsrRows):
+            points = np.asarray(points, dtype=float)
+            if points.ndim != 2:
+                raise ValueError(f"points must be two-dimensional, got shape {points.shape}")
+            points, n_features = _sparse(points), points.shape[1]
+        check_finite(points.data)
+        self.rows, self.n_features = points, n_features
+        self.squared_norms = _squared_norms(points)
+        # the entries again, grouped by column; the order within a column does
+        # not matter, as each Gram entry adds its products in the query's order
+        by_column = np.argsort(points.indices)
+        self._column_rows = points.entry_rows()[by_column]
+        self._column_data = points.data[by_column]
+        self._column_counts = np.bincount(points.indices, minlength=n_features)
+        self._column_starts = np.cumsum(self._column_counts) - self._column_counts
 
     def query(self, target: np.ndarray, k: int, exclude: int | None = None) -> np.ndarray:
-        """Indices of the k nearest reference points to ``target``.
+        """Indices of the k nearest reference points to the dense vector ``target``.
 
         ``exclude`` removes one reference row (the query point itself when it
         is a member of the reference set).
         """
-        # np.linalg.norm(diff, axis=1) bit for bit, but squared in place: the
-        # second (n, d) temporary of norm made this scan about twice as slow on
-        # a process's main thread, where each query grew malloc's heap again
-        diff = self.points - target
-        dists = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
-        if exclude is not None:
-            dists[exclude] = np.inf
-        order = np.argsort(dists, kind="stable")  # stable sort -> lower index on ties
+        target = np.asarray(target, dtype=float)
+        check_finite(target)
+        excluded = None if exclude is None else np.array([range(len(self.rows))[exclude]])
+        [order] = self.ranked(_sparse(target[None, :]), excluded, [(k, len(self.rows))])
         return order[:k]
+
+    def ranked(
+        self, queries: CsrRows, exclude: np.ndarray | None, limits: Iterable[tuple[int, int]]
+    ) -> list[np.ndarray]:
+        """For each query row, candidate reference rows from nearest to farthest.
+
+        ``exclude`` holds one reference row per query that is never a candidate
+        (the query itself), or is None. For each ``(k, end)`` in ``limits``, the
+        candidates below ``end`` start with the k nearest rows below ``end``.
+        """
+        limits = [(k, end) for k, end in limits if k > 0]
+        n = len(self.rows)
+        work = n + np.bincount(
+            queries.entry_rows(),
+            weights=self._column_counts[queries.indices],
+            minlength=len(queries),
+        )
+        ends = np.cumsum(work)
+        orders: list[np.ndarray] = []
+        start = 0
+        while start < len(queries):
+            done = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK_WORK, side="right")))
+            block = queries.take(np.arange(start, stop))
+            skipped = None if exclude is None else exclude[start:stop]
+            keep = self._candidates(block, skipped, limits)
+            at, rows = np.nonzero(keep)
+            distances = self._distances(block, at, rows)
+            rows = rows[np.lexsort((rows, distances, at))]  # by query, distance, row
+            orders.extend(np.split(rows, np.cumsum(np.count_nonzero(keep, axis=1))[:-1]))
+            start = stop
+        return orders
+
+    def _candidates(self, block: CsrRows, exclude, limits) -> np.ndarray:
+        """(queries, reference rows) mask of the rows that may be among the k
+        nearest below ``end`` of each ``(k, end)`` in ``limits``."""
+        n = len(self.rows)
+        columns = block.indices
+        counts = self._column_counts[columns]
+        firsts = np.cumsum(counts) - counts
+        entries = np.repeat(self._column_starts[columns] - firsts, counts) + np.arange(counts.sum())
+        gram = np.bincount(
+            np.repeat(block.entry_rows(), counts) * n + self._column_rows[entries],
+            weights=np.repeat(block.data, counts) * self._column_data[entries],
+            minlength=len(block) * n,
+        ).reshape(len(block), n)
+        with np.errstate(over="ignore", invalid="ignore"):  # handled just below
+            scale = _squared_norms(block)[:, None] + self.squared_norms
+            approx = scale - 2.0 * gram
+            slack = _RELATIVE_SLACK * scale + _ABSOLUTE_SLACK
+            finite = np.isfinite(approx)  # an overflow says nothing: keep the row
+            lower = np.where(finite, approx - slack, -np.inf)
+            upper = np.where(finite, approx + slack, np.inf)
+        queries = np.arange(len(block))
+        if exclude is not None:
+            upper[queries, exclude] = np.inf
+        keep = np.zeros((len(block), n), dtype=bool)
+        for k, end in limits:
+            if k >= end:
+                keep[:, :end] = True
+            else:
+                kth = np.partition(upper[:, :end], k - 1, axis=1)[:, k - 1 : k]
+                keep[:, :end] |= lower[:, :end] <= kth
+        if exclude is not None:
+            keep[queries, exclude] = False
+        return keep
+
+    def _distances(self, block: CsrRows, at: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Distance from query ``at[i]`` of the block to reference row ``rows[i]``,
+        as the dense scan computes it: the square root of the sum of squared
+        differences over all ``n_features`` columns."""
+        out = np.empty(len(rows))
+        step = max(1, _BLOCK_WORK // max(self.n_features, 1))
+        for s in range(0, len(rows), step):
+            diff = to_dense(self.rows.take(rows[s : s + step]), self.n_features)
+            queries = block.take(at[s : s + step])
+            diff[queries.entry_rows(), queries.indices] -= queries.data
+            out[s : s + step] = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
+        return out
+
+
+def _sparse(points: np.ndarray) -> CsrRows:
+    """The nonzero entries of the dense rows ``points``."""
+    rows, columns = np.nonzero(points)
+    return CsrRows.from_entries(rows, columns, points[rows, columns], len(points))
+
+
+def _squared_norms(rows: CsrRows) -> np.ndarray:
+    return np.bincount(rows.entry_rows(), weights=rows.data * rows.data, minlength=len(rows))
 
 
 def _minority_k(name: str, n: int, k: int) -> int:
@@ -56,13 +175,6 @@ def _minority_k(name: str, n: int, k: int) -> int:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return min(k, n - 1)
-
-
-def _neighbor_orders(rows: CsrRows, n_features: int, n: int) -> list[np.ndarray]:
-    """For each of the first n rows, every other row from nearest to farthest."""
-    points = to_dense(rows, n_features)
-    index = NeighborIndex(points)
-    return [index.query(points[i], len(points) - 1, exclude=i) for i in range(n)]
 
 
 def _interpolate(minority: CsrRows, neighbors: Sequence[np.ndarray], bases, rng) -> CsrRows:
@@ -111,7 +223,8 @@ def smote(
     minority = to_csr(minority)
     n = len(minority)
     k_min = _minority_k("smote", n, k)
-    neighbors = [o[:k_min] for o in _neighbor_orders(minority, n_features, n)]
+    orders = NeighborIndex(minority, n_features).ranked(minority, np.arange(n), [(k_min, n)])
+    neighbors = [order[:k_min] for order in orders]
     return _interpolate(minority, neighbors, np.arange(count) % n, rng)
 
 
@@ -143,9 +256,9 @@ def adasyn(
     the fraction of its k nearest neighbors (over the full training set) that
     belong to the majority class. When every share is zero the budget is
     split uniformly. Interpolation itself runs among minority neighbors as
-    in SMOTE. They are the minority entries of the point's full-set order,
-    which come in the minority-only order: each distance is the same in both
-    sets, and ties go to the lower index in both.
+    in SMOTE. One search over the full set finds both neighbor lists, as the
+    minority rows come first: each distance is the same in both sets, and
+    ties go to the lower index in both.
     """
     check_count(count)
     minority = to_csr(minority)
@@ -153,7 +266,9 @@ def adasyn(
     k_min = _minority_k("adasyn", n, k)
     all_rows = minority.stack(to_csr(majority))
     k_all = min(k, len(all_rows) - 1)
-    orders = _neighbor_orders(all_rows, n_features, n)
+    orders = NeighborIndex(all_rows, n_features).ranked(
+        minority, np.arange(n), [(k_all, len(all_rows)), (k_min, n)]
+    )
     ratios = np.array([np.count_nonzero(order[:k_all] >= n) / k_all for order in orders])
     allot = largest_remainder(ratios if ratios.sum() > 0 else np.ones(n), count)
     neighbors = [order[order < n][:k_min] for order in orders]

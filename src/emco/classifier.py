@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vectorize import CsrRows, SparseVector, to_csr
+from .vectorize import CsrRows, SparseVector, check_finite, to_csr
 
 log = logging.getLogger(__name__)
 
@@ -88,9 +88,7 @@ def train(
     outside = indices[(indices < 0) | (indices >= n_features)]
     if len(outside):
         raise ValueError(f"feature index {outside[0]} is out of range for {n_features} features")
-    finite = np.isfinite(data)
-    if not finite.all():
-        raise ValueError(f"feature values must be finite, got {data[~finite][0]:g}")
+    check_finite(data)
 
     n = len(y)
     qii = np.bincount(rows.entry_rows(), weights=data * data, minlength=n) + 1.0  # + the bias

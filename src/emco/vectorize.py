@@ -80,6 +80,10 @@ class CsrRows:
         return len(self.indptr) - 1
 
     def __getitem__(self, row: int) -> SparseVector:
+        if not isinstance(row, (int, np.integer)):
+            raise TypeError(
+                f"CsrRows index must be an integer, got {type(row).__name__}; take() selects rows"
+            )
         row = range(len(self))[row]  # an IndexError past the last row ends iteration
         s, e = self.indptr[row], self.indptr[row + 1]
         return SparseVector(tuple(zip(self.indices[s:e].tolist(), self.data[s:e].tolist())))
@@ -163,6 +167,13 @@ def to_csr(vectors: Sequence[SparseVector] | CsrRows) -> CsrRows:
     indices, data = zip(*entries) if entries else ((), ())
     indptr = np.cumsum([0, *(len(vec.entries) for vec in vectors)])
     return CsrRows(indptr, np.array(indices), np.array(data, dtype=float))
+
+
+def check_finite(values: np.ndarray) -> None:
+    """Raise a one-line ``ValueError`` at the first NaN or infinite value."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"feature values must be finite, got {values[~finite][0]:g}")
 
 
 def to_dense(vectors: Sequence[SparseVector] | CsrRows, n_features: int) -> np.ndarray:

@@ -28,6 +28,72 @@ class TestNeighborIndex:
         index = baselines.NeighborIndex(points)
         assert list(index.query(np.zeros(2), 2)) == [0, 1]
 
+    def test_csr_rows_index_as_their_dense_array(self):
+        rng = np.random.default_rng(1)
+        points = np.where(rng.random((40, 9)) < 0.4, rng.normal(size=(40, 9)), 0.0)
+        dense = baselines.NeighborIndex(points)
+        sparse = baselines.NeighborIndex(to_csr([SparseVector.from_dense(p) for p in points]), 9)
+        for i in range(40):
+            assert np.array_equal(sparse.query(points[i], 6, exclude=i), dense.query(points[i], 6, exclude=i))
+
+    def test_excluded_row_is_never_returned(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        index = baselines.NeighborIndex(points)
+        assert list(index.query(points[1], 5, exclude=1)) == [0, 2]
+        assert list(index.query(points[1], 5, exclude=-1)) == [1, 0]
+
+    def test_disjoint_unit_rows_order_as_the_literal_scan(self):
+        # unit rows with disjoint supports, as tf-idf rows often are: every
+        # distance is sqrt(2) up to rounding, and the Gram formula reads each
+        # as exactly 2. Only the relative slack keeps the exact order's rows.
+        supports = [
+            {0: 1, 2: 1}, {5: 1}, {6: 4, 7: 3, 8: 3}, {9: 5, 10: 2, 11: 3}, {14: 1},
+            {15: 1, 16: 3, 17: 2}, {18: 1, 19: 1},
+        ]
+        points = np.zeros((len(supports), 21))
+        for row, weights in zip(points, supports):
+            values = np.array(list(weights.values()), dtype=float)
+            row[list(weights)] = values / np.sqrt(np.sum(values * values))
+        index = baselines.NeighborIndex(points)
+        for i in range(len(points)):
+            assert np.array_equal(index.query(points[i], 2, exclude=i), nearest(points, i, 2))
+
+    def test_subnormal_squares_order_as_the_literal_scan(self):
+        # squares near 1e-322 keep a few bits, so the two formulas round apart:
+        # from row 0, the Gram formula puts row 7 before row 2 and the exact scan
+        # puts row 2 first. Only the absolute slack keeps row 2 a candidate.
+        points = 1e-161 * np.array([
+            [2, 1], [2, -2], [0, 1], [0, 1], [3, 1.5], [-1, -3], [-2, -1], [2, -1], [2, -1],
+        ])
+        index = baselines.NeighborIndex(points)
+        for i in range(len(points)):
+            assert np.array_equal(index.query(points[i], 2, exclude=i), nearest(points, i, 2))
+
+    def test_rows_whose_squared_norms_overflow_order_as_the_literal_scan(self):
+        # each squared norm is inf, so the Gram formula reads nan; the rows'
+        # differences stay small and their exact distances finite
+        points = np.array([[1e154, 1e154 + i * j * 1e140] for i in range(4) for j in (1, -1)])
+        assert np.isfinite(np.linalg.norm(points - points[0], axis=1)).all()
+        index = baselines.NeighborIndex(points)
+        for i in range(len(points)):
+            assert np.array_equal(index.query(points[i], 3, exclude=i), nearest(points, i, 3))
+
+    @pytest.mark.parametrize("points", [np.zeros(3), np.zeros((2, 2, 2))])
+    def test_points_that_are_not_two_dimensional_rejected(self, points):
+        with pytest.raises(ValueError, match=r"points must be two-dimensional, got shape \("):
+            baselines.NeighborIndex(points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        points = np.array([[1.0, 0.0], [0.0, bad]])
+        message = f"feature values must be finite, got {bad:g}"
+        with pytest.raises(ValueError, match=message):
+            baselines.NeighborIndex(points)
+        with pytest.raises(ValueError, match=message):
+            baselines.NeighborIndex(to_csr([sv(1, 0), SparseVector(((1, bad),))]), 2)
+        with pytest.raises(ValueError, match=message):
+            baselines.NeighborIndex(np.eye(2)).query(np.array([bad, 0.0]), 1)
+
 
 class TestRos:
     def test_copies_are_members(self):
@@ -61,20 +127,39 @@ def test_negative_count_rejected(oversample):
     assert str(exc.value) == "count must be nonnegative, got -1"
 
 
+@pytest.mark.parametrize("oversample, position", [
+    (lambda rows, rng: baselines.smote(rows[:3], 1, 2, rng, 2), 2),
+    (lambda rows, rng: baselines.adasyn(rows[:3], rows[3:], 1, 2, rng, 2), 2),
+    (lambda rows, rng: baselines.adasyn(rows[:3], rows[3:], 1, 2, rng, 2), 4),
+], ids=["smote", "adasyn-minority", "adasyn-majority"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_value_rejected(oversample, position, bad):
+    rows = [sv(1, 0), sv(0, 1), sv(1, 1), sv(5, 5), sv(4, 0)]
+    rows[position] = sv(bad, 1)
+    with pytest.raises(ValueError, match=f"feature values must be finite, got {bad:g}"):
+        oversample(rows, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("oversample", [
-    lambda rows, rng: baselines.smote(rows[:3], 4, 2, rng, 2),
-    lambda rows, rng: baselines.adasyn(rows[:3], rows[3:], 4, 2, rng, 2),
+    lambda rows, rng: baselines.smote(rows[:20], 30, 3, rng, 16),
+    lambda rows, rng: baselines.adasyn(rows[:8], rows[8:], 30, 3, rng, 16),
 ], ids=["smote", "adasyn"])
-def test_one_dense_copy_per_oversampler(oversample, monkeypatch):
+def test_dense_copies_are_bounded_by_a_block(oversample, monkeypatch):
+    # a block holds a few of the 20 reference rows: each dense copy holds at
+    # most one chunk of rows, never all of them
     calls = []
 
     def counted(vectors, n_features):
         calls.append(len(vectors))
         return to_dense(vectors, n_features)
 
+    monkeypatch.setattr(baselines, "_BLOCK_WORK", 64)
     monkeypatch.setattr(baselines, "to_dense", counted)
-    oversample([sv(1, 0), sv(0, 1), sv(1, 1), sv(5, 5), sv(4, 0)], np.random.default_rng(0))
-    assert len(calls) == 1
+    rows = random_sparse(np.random.default_rng(3), 20, 16)
+    got = oversample(rows, np.random.default_rng(0))
+    assert calls and max(calls) <= 64 // 16 < 20
+    monkeypatch.undo()
+    assert list(got) == list(oversample(rows, np.random.default_rng(0)))
 
 
 class TestSmote:
@@ -215,14 +300,20 @@ class TestAdasyn:
                              rng=np.random.default_rng(0), n_features=1)
 
 
-# Reference: smote and adasyn with the interpolation done on dense rows. The
-# arithmetic per coordinate is the same, so the sparse path must match exactly.
+# Reference: smote and adasyn on dense rows, with neighbors from a literal
+# distance scan. The arithmetic per coordinate is the same, so the sparse path
+# must match exactly.
+def nearest(points, i, k):
+    dists = np.linalg.norm(points - points[i], axis=1)
+    dists[i] = np.inf
+    return np.argsort(dists, kind="stable")[:k]
+
+
 def dense_smote(minority, count, k, rng, n_features):
     n = len(minority)
     k_eff = min(k, n - 1)
     points = to_dense(minority, n_features)
-    index = baselines.NeighborIndex(points)
-    neighbors = [index.query(points[i], k_eff, exclude=i) for i in range(n)]
+    neighbors = [nearest(points, i, k_eff) for i in range(n)]
     out = np.empty((count, n_features))
     for j in range(count):
         i = j % n
@@ -237,16 +328,12 @@ def dense_adasyn(minority, majority, count, k, rng, n_features):
     min_points = to_dense(minority, n_features)
     all_points = np.vstack([min_points, to_dense(majority, n_features)])
     k_all = min(k, len(all_points) - 1)
-    full_index = baselines.NeighborIndex(all_points)
-    ratios = np.empty(n)
-    for i in range(n):
-        nn = full_index.query(all_points[i], k_all, exclude=i)
-        ratios[i] = np.count_nonzero(nn >= n) / k_all
+    ratios = np.array([np.count_nonzero(nearest(all_points, i, k_all) >= n) / k_all
+                       for i in range(n)])
     weights = ratios if ratios.sum() > 0 else np.ones(n)
     allot = baselines.largest_remainder(weights, count)
     k_min = min(k, n - 1)
-    min_index = baselines.NeighborIndex(min_points)
-    neighbors = [min_index.query(min_points[i], k_min, exclude=i) for i in range(n)]
+    neighbors = [nearest(min_points, i, k_min) for i in range(n)]
     out = np.empty((count, n_features))
     pos = 0
     for i in range(n):
@@ -359,3 +446,50 @@ class TestSparseInterpolation:
         # 0 and 1 are each other's nearest neighbor: both midpoints keep
         # only the shared coordinate
         assert got[0] == got[1] == SparseVector(((2, 10.0),))
+
+
+@st.composite
+def awkward_rows(draw):
+    """Minority and majority vectors with duplicate rows, empty rows, rows with
+    disjoint supports (unit vectors about sqrt(2) apart, where the two distance
+    formulas round differently), and rows scaled by 1e-160, 1e-161 or 1e150,
+    where squares lose bits to underflow or grow huge."""
+    n_min = draw(st.integers(2, 9))
+    n_maj = draw(st.integers(1, 9))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e-161, 1e150]))  # most rows share it
+    shared = 6  # columns that random rows draw from
+    fresh = iter(range(shared, shared + 4 * (n_min + n_maj)))  # one disjoint support per row
+    vectors = []
+    for _ in range(n_min + n_maj):
+        kind = draw(st.sampled_from(["random", "duplicate", "disjoint", "empty"]))
+        if kind == "duplicate" and vectors:
+            vectors.append(vectors[draw(st.integers(0, len(vectors) - 1))])
+            continue
+        if kind == "random":
+            columns = draw(st.lists(st.integers(0, shared - 1), unique=True, max_size=shared))
+            values = [draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0])
+                           | st.floats(-4, 4).filter(lambda v: v != 0)) for _ in columns]
+        elif kind == "disjoint":  # unit L2 norm, up to rounding, as tf-idf rows have
+            columns = [next(fresh) for _ in range(draw(st.integers(1, 4)))]
+            values = np.array([draw(st.floats(0.1, 3)) for _ in columns])
+            values = list(values / np.sqrt(np.sum(values * values)))
+        else:
+            columns, values = [], []
+        row_scale = draw(st.sampled_from([scale, scale, scale, 1.0, 1e-160, 1e-161, 1e150]))
+        vectors.append(SparseVector(tuple(sorted(
+            (c, v * row_scale) for c, v in zip(columns, values) if v * row_scale != 0.0
+        ))))
+    return vectors[:n_min], vectors[n_min:], shared + 4 * (n_min + n_maj)
+
+
+@given(awkward_rows(), st.integers(1, 6), st.integers(0, 25), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_oversamplers_equal_the_literal_scan(rows, k, count, seed):
+    # a block of one query row and chunks of one pair cross every boundary
+    minority, majority, d = rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "_BLOCK_WORK", 1)
+        got = baselines.smote(minority, count, k, np.random.default_rng(seed), d)
+        assert list(got) == dense_smote(minority, count, k, np.random.default_rng(seed), d)
+        got = baselines.adasyn(minority, majority, count, k, np.random.default_rng(seed), d)
+        assert list(got) == dense_adasyn(minority, majority, count, k, np.random.default_rng(seed), d)

@@ -137,6 +137,18 @@ class TestCsrRows:
         with pytest.raises(IndexError):
             rows[4]
 
+    @pytest.mark.parametrize("row, position", [(-1, 3), (-4, 0), (np.int64(-2), 2), (np.intp(1), 1)])
+    def test_negative_and_numpy_integers_read_one_row(self, row, position):
+        assert self.rows()[row].entries == self.ROWS[position]
+
+    @pytest.mark.parametrize("row, name", [
+        (slice(None, 1), "slice"), (1.0, "float"), ([0, 1], "list"), (np.array([0]), "ndarray"),
+    ])
+    def test_non_integer_row_rejected_with_a_pointer_to_take(self, row, name):
+        message = f"CsrRows index must be an integer, got {name}; take() selects rows"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            self.rows()[row]
+
     def test_to_csr_returns_csr_rows_as_they_are(self):
         rows = self.rows()
         assert vectorize.to_csr(rows) is rows
