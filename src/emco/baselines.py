@@ -4,27 +4,30 @@ These operate directly on tf-idf vectors and therefore cannot leave the
 convex hull of the minority sample. Interpolated vectors are deliberately
 not re-normalized to unit L2.
 
-Each oversampler reads ``CsrRows`` or a ``SparseVector`` list and returns ``CsrRows``.
-``NeighborIndex`` finds neighbors in two steps. A sparse Gram product over a
-column index of the rows gives every squared distance as |a|^2 + |b|^2 - 2 a.b,
-and picks as candidates the rows that could be among the k nearest. That formula
-rounds differently from the sum of squared differences, and many tf-idf vectors
+Each oversampler reads ``CsrRows`` or a ``SparseVector`` list and returns
+``CsrRows``. SMOTE finds each minority row's nearest minority rows; ADASYN
+runs the same search, and a second one over all training rows for its
+density shares. ``NeighborIndex`` finds the k nearest rows in two steps. A
+sparse Gram product over the transposed rows (one ``CsrRows`` row per
+column) gives every squared distance as |a|^2 + |b|^2 - 2 a.b, and picks as
+candidates the rows that could be among the k nearest. That formula rounds
+differently from the sum of squared differences, and many tf-idf vectors
 with disjoint supports lie exactly sqrt(2) apart, so it could pick another
-neighbor at a tie. The candidates are therefore ordered by the exact distance of
-a dense scan, on dense rows of the queries and their candidates only, with ties
-going to the lower index. Interpolation needs no such care, so it runs on the
-sparse entries over the union of the two supports and gives bit-for-bit the
-dense result.
+neighbor at a tie. The candidates are therefore ordered by the exact
+distance of a dense scan, on dense rows of the queries and their candidates
+only, with ties going to the lower index. Interpolation needs no such care,
+so it runs on the sparse entries over the union of the two supports and
+gives bit-for-bit the dense result.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .chain import check_count
-from .vectorize import CsrRows, SparseVector, check_finite, to_csr, to_dense
+from .vectorize import CsrRows, SparseVector, check_columns, check_finite, to_csr, to_dense
 
 Rows = Sequence[SparseVector] | CsrRows
 
@@ -54,17 +57,22 @@ class NeighborIndex:
             points = np.asarray(points, dtype=float)
             if points.ndim != 2:
                 raise ValueError(f"points must be two-dimensional, got shape {points.shape}")
-            points, n_features = _sparse(points), points.shape[1]
+            points, n_features = CsrRows.from_dense(points), points.shape[1]
+        if n_features is None:
+            raise ValueError("n_features must be given for sparse rows")
+        check_columns(points.indices, n_features)
         check_finite(points.data)
         self.rows, self.n_features = points, n_features
-        self.squared_norms = _squared_norms(points)
-        # the entries again, grouped by column; the order within a column does
-        # not matter, as each Gram entry adds its products in the query's order
+        self.squared_norms = points.row_sums(points.data * points.data)
+        # the transposed rows: row c holds the reference rows with an entry in
+        # column c. Their order within a column does not matter, as each Gram
+        # entry adds its products in the query's order.
         by_column = np.argsort(points.indices)
-        self._column_rows = points.entry_rows()[by_column]
-        self._column_data = points.data[by_column]
-        self._column_counts = np.bincount(points.indices, minlength=n_features)
-        self._column_starts = np.cumsum(self._column_counts) - self._column_counts
+        self._columns = CsrRows.from_entries(
+            points.indices[by_column], points.entry_rows()[by_column], points.data[by_column],
+            n_features,
+        )
+        self._column_counts = np.diff(self._columns.indptr)
 
     def query(self, target: np.ndarray, k: int, exclude: int | None = None) -> np.ndarray:
         """Indices of the k nearest reference points to the dense vector ``target``.
@@ -73,27 +81,22 @@ class NeighborIndex:
         is a member of the reference set).
         """
         target = np.asarray(target, dtype=float)
+        if target.shape != (self.n_features,):
+            raise ValueError(f"target must have shape ({self.n_features},), got {target.shape}")
         check_finite(target)
         excluded = None if exclude is None else np.array([range(len(self.rows))[exclude]])
-        [order] = self.ranked(_sparse(target[None, :]), excluded, [(k, len(self.rows))])
-        return order[:k]
+        return self.nearest(CsrRows.from_dense(target[None, :]), k, excluded)[0]
 
-    def ranked(
-        self, queries: CsrRows, exclude: np.ndarray | None, limits: Iterable[tuple[int, int]]
-    ) -> list[np.ndarray]:
-        """For each query row, candidate reference rows from nearest to farthest.
+    def nearest(self, queries: CsrRows, k: int, exclude: np.ndarray | None) -> list[np.ndarray]:
+        """For each query row, its k nearest reference rows, nearest first, or
+        every row left when fewer are.
 
-        ``exclude`` holds one reference row per query that is never a candidate
-        (the query itself), or is None. For each ``(k, end)`` in ``limits``, the
-        candidates below ``end`` start with the k nearest rows below ``end``.
+        ``exclude`` holds one reference row per query that is never returned
+        (the query itself), or is None.
         """
-        limits = [(k, end) for k, end in limits if k > 0]
-        n = len(self.rows)
-        work = n + np.bincount(
-            queries.entry_rows(),
-            weights=self._column_counts[queries.indices],
-            minlength=len(queries),
-        )
+        if k < 1:
+            return [np.empty(0, dtype=np.intp) for _ in range(len(queries))]
+        work = len(self.rows) + queries.row_sums(self._column_counts[queries.indices])
         ends = np.cumsum(work)
         orders: list[np.ndarray] = []
         start = 0
@@ -101,30 +104,28 @@ class NeighborIndex:
             done = ends[start - 1] if start else 0
             stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK_WORK, side="right")))
             block = queries.take(np.arange(start, stop))
-            skipped = None if exclude is None else exclude[start:stop]
-            keep = self._candidates(block, skipped, limits)
+            keep = self._candidates(block, None if exclude is None else exclude[start:stop], k)
             at, rows = np.nonzero(keep)
             distances = self._distances(block, at, rows)
             rows = rows[np.lexsort((rows, distances, at))]  # by query, distance, row
-            orders.extend(np.split(rows, np.cumsum(np.count_nonzero(keep, axis=1))[:-1]))
+            splits = np.cumsum(np.count_nonzero(keep, axis=1))[:-1]
+            orders.extend(order[:k] for order in np.split(rows, splits))
             start = stop
         return orders
 
-    def _candidates(self, block: CsrRows, exclude, limits) -> np.ndarray:
+    def _candidates(self, block: CsrRows, exclude, k: int) -> np.ndarray:
         """(queries, reference rows) mask of the rows that may be among the k
-        nearest below ``end`` of each ``(k, end)`` in ``limits``."""
+        nearest."""
         n = len(self.rows)
-        columns = block.indices
-        counts = self._column_counts[columns]
-        firsts = np.cumsum(counts) - counts
-        entries = np.repeat(self._column_starts[columns] - firsts, counts) + np.arange(counts.sum())
+        columns = self._columns.take(block.indices)  # one row per query entry
+        counts = np.diff(columns.indptr)
         gram = np.bincount(
-            np.repeat(block.entry_rows(), counts) * n + self._column_rows[entries],
-            weights=np.repeat(block.data, counts) * self._column_data[entries],
+            np.repeat(block.entry_rows(), counts) * n + columns.indices,
+            weights=np.repeat(block.data, counts) * columns.data,
             minlength=len(block) * n,
         ).reshape(len(block), n)
         with np.errstate(over="ignore", invalid="ignore"):  # handled just below
-            scale = _squared_norms(block)[:, None] + self.squared_norms
+            scale = block.row_sums(block.data * block.data)[:, None] + self.squared_norms
             approx = scale - 2.0 * gram
             slack = _RELATIVE_SLACK * scale + _ABSOLUTE_SLACK
             finite = np.isfinite(approx)  # an overflow says nothing: keep the row
@@ -133,13 +134,8 @@ class NeighborIndex:
         queries = np.arange(len(block))
         if exclude is not None:
             upper[queries, exclude] = np.inf
-        keep = np.zeros((len(block), n), dtype=bool)
-        for k, end in limits:
-            if k >= end:
-                keep[:, :end] = True
-            else:
-                kth = np.partition(upper[:, :end], k - 1, axis=1)[:, k - 1 : k]
-                keep[:, :end] |= lower[:, :end] <= kth
+        kth = np.partition(upper, k - 1, axis=1)[:, k - 1 : k] if k < n else np.inf
+        keep = lower <= kth
         if exclude is not None:
             keep[queries, exclude] = False
         return keep
@@ -158,23 +154,15 @@ class NeighborIndex:
         return out
 
 
-def _sparse(points: np.ndarray) -> CsrRows:
-    """The nonzero entries of the dense rows ``points``."""
-    rows, columns = np.nonzero(points)
-    return CsrRows.from_entries(rows, columns, points[rows, columns], len(points))
-
-
-def _squared_norms(rows: CsrRows) -> np.ndarray:
-    return np.bincount(rows.entry_rows(), weights=rows.data * rows.data, minlength=len(rows))
-
-
-def _minority_k(name: str, n: int, k: int) -> int:
-    """Neighbors per minority point, k capped at n - 1, after checking n and k."""
+def _minority_neighbors(name: str, minority: CsrRows, k: int, n_features: int) -> list[np.ndarray]:
+    """Each minority row's k nearest other minority rows, with k capped at
+    n - 1, after checking n and k."""
+    n = len(minority)
     if n < 2:
         raise ValueError(f"{name} needs at least two minority vectors")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return min(k, n - 1)
+    return NeighborIndex(minority, n_features).nearest(minority, min(k, n - 1), np.arange(n))
 
 
 def _interpolate(minority: CsrRows, neighbors: Sequence[np.ndarray], bases, rng) -> CsrRows:
@@ -221,11 +209,8 @@ def smote(
     """
     check_count(count)
     minority = to_csr(minority)
-    n = len(minority)
-    k_min = _minority_k("smote", n, k)
-    orders = NeighborIndex(minority, n_features).ranked(minority, np.arange(n), [(k_min, n)])
-    neighbors = [order[:k_min] for order in orders]
-    return _interpolate(minority, neighbors, np.arange(count) % n, rng)
+    neighbors = _minority_neighbors("smote", minority, k, n_features)
+    return _interpolate(minority, neighbors, np.arange(count) % len(minority), rng)
 
 
 def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -256,20 +241,16 @@ def adasyn(
     the fraction of its k nearest neighbors (over the full training set) that
     belong to the majority class. When every share is zero the budget is
     split uniformly. Interpolation itself runs among minority neighbors as
-    in SMOTE. One search over the full set finds both neighbor lists, as the
-    minority rows come first: each distance is the same in both sets, and
-    ties go to the lower index in both.
+    in SMOTE, found by the same search over the minority rows that SMOTE
+    runs; a second search over the full set gives only the shares.
     """
     check_count(count)
     minority = to_csr(minority)
     n = len(minority)
-    k_min = _minority_k("adasyn", n, k)
+    neighbors = _minority_neighbors("adasyn", minority, k, n_features)
     all_rows = minority.stack(to_csr(majority))
     k_all = min(k, len(all_rows) - 1)
-    orders = NeighborIndex(all_rows, n_features).ranked(
-        minority, np.arange(n), [(k_all, len(all_rows)), (k_min, n)]
-    )
-    ratios = np.array([np.count_nonzero(order[:k_all] >= n) / k_all for order in orders])
+    orders = NeighborIndex(all_rows, n_features).nearest(minority, k_all, np.arange(n))
+    ratios = np.array([np.count_nonzero(order >= n) / k_all for order in orders])
     allot = largest_remainder(ratios if ratios.sum() > 0 else np.ones(n), count)
-    neighbors = [order[order < n][:k_min] for order in orders]
     return _interpolate(minority, neighbors, np.repeat(np.arange(n), allot), rng)

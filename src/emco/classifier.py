@@ -18,8 +18,8 @@ left-to-right ``for`` loop, and the clips are comparisons, not
 ``min``/``max``/``abs`` calls. Builtin ``sum()`` of floats is compensated
 from Python 3.12 on, so it would round differently there; the explicit loop
 rounds the same on every Python, and the kernel adds in the same order.
-``np.bincount`` also adds its input in order into bins from 0.0, so ``qii``
-uses it, and so does ``_margins``, the one w.x + b outside the solver.
+``qii`` is ``CsrRows.row_sums``, which adds the same way; so does
+``_margins``, the one w.x + b outside the solver, with the bias first.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vectorize import CsrRows, SparseVector, check_finite, to_csr
+from .vectorize import CsrRows, SparseVector, check_columns, check_finite, to_csr
 
 log = logging.getLogger(__name__)
 
@@ -85,13 +85,10 @@ def train(
     indices, data = rows.indices, rows.data
     if n_features is None:
         n_features = int(indices.max(initial=-1)) + 1
-    outside = indices[(indices < 0) | (indices >= n_features)]
-    if len(outside):
-        raise ValueError(f"feature index {outside[0]} is out of range for {n_features} features")
+    check_columns(indices, n_features)
     check_finite(data)
 
-    n = len(y)
-    qii = np.bincount(rows.entry_rows(), weights=data * data, minlength=n) + 1.0  # + the bias
+    qii = rows.row_sums(data * data) + 1.0  # + the bias
     solve = _python_epochs if load_kernel() is None else _compiled_epochs
     weights, bias, history = solve(
         rows, y, qii, c, tol, max_iters, n_features, np.random.default_rng(seed)

@@ -8,7 +8,7 @@ depend on execution order or the worker-pool size.
 The plan walks each category once. Each ratio's tasks decide which categories
 qualify at which ratios; then each qualifying category gets one ``_TaskState``,
 built serially before any job runs: training labels by category membership,
-its minority and majority row numbers, the test labels and one chain model
+its minority rows and majority row numbers, the test labels and one chain model
 per gamma that mco and emco need. Jobs only read it. A job draws its synthetic
 rows, trains one classifier on ``prepare``'s training rows stacked with them
 and scores it, giving one row per ratio it serves: the unsampled ``none``
@@ -214,8 +214,8 @@ class _TaskState:
 
     category: str
     train_y: list[int]  # +1 for training documents labeled with the category
-    minority: np.ndarray  # numbers of the +1 rows of ``_Prepared.train_csr``
-    majority: np.ndarray  # numbers of its -1 rows
+    minority: vectorize.CsrRows  # the +1 rows of ``_Prepared.train_csr``
+    majority: np.ndarray  # the numbers of its -1 rows
     test_y: list[int]
     chains: dict[float, chain.TransitionModel]  # keyed by gamma
 
@@ -224,13 +224,14 @@ def _task_state(
     prepared: _Prepared, task: corpus.OvrTask, chain_gammas: set[float]
 ) -> _TaskState:
     train_y = [task.label(d) for d in prepared.train_docs]
+    labels = np.array(train_y)
     minority_tokens = [d.tokens for d in task.train_minority]
     majority_tokens = [d.tokens for d in task.train_majority]
     return _TaskState(
         category=task.category,
         train_y=train_y,
-        minority=np.flatnonzero(np.array(train_y) == 1),
-        majority=np.flatnonzero(np.array(train_y) == -1),
+        minority=prepared.train_csr.take(np.flatnonzero(labels == 1)),
+        majority=np.flatnonzero(labels == -1),
         test_y=[task.label(d) for d in prepared.test_docs],
         chains={
             gamma: chain.estimate(minority_tokens, majority_tokens, gamma)
@@ -250,7 +251,7 @@ def _synthetic(
 ) -> vectorize.CsrRows:
     """The synthetic minority rows one method adds to the training rows."""
     n_features = prepared.tfidf.n_features
-    minority = prepared.train_csr.take(state.minority)
+    minority = state.minority
     if method in ("smote", "adasyn") and len(minority) < 2:
         method = "ros"  # too few minority points to interpolate
     if method == "none":

@@ -41,8 +41,8 @@ class SparseVector:
 
     @staticmethod
     def from_dense(arr: np.ndarray) -> "SparseVector":
-        """Every entry ``!= 0.0``: a NaN is kept for the readers' checks."""
-        return SparseVector(tuple((int(i), float(v)) for i, v in enumerate(arr) if v != 0.0))
+        """The one dense row ``arr`` as ``CsrRows.from_dense`` reads it."""
+        return CsrRows.from_dense(np.asarray(arr, dtype=float)[None, :])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +76,13 @@ class CsrRows:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
         return CsrRows(indptr, indices, data)
 
+    @staticmethod
+    def from_dense(points: np.ndarray) -> "CsrRows":
+        """The entries ``!= 0.0`` of the dense rows ``points``: a NaN is kept
+        for the readers' checks, and -0.0 is dropped."""
+        rows, columns = np.nonzero(points)
+        return CsrRows.from_entries(rows, columns, points[rows, columns], len(points))
+
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
@@ -91,6 +98,12 @@ class CsrRows:
     def entry_rows(self) -> np.ndarray:
         """The row number of each entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each row's sum of ``values`` (one per entry), added left to right from
+        0.0 as a ``for`` loop adds; builtin ``sum()`` of floats is compensated
+        from Python 3.12 on, so it would round differently there."""
+        return np.bincount(self.entry_rows(), weights=values, minlength=len(self))
 
     def take(self, rows) -> "CsrRows":
         """The rows at the nonnegative positions ``rows``, in that order."""
@@ -147,11 +160,9 @@ def transform_rows(documents: Iterable[Iterable[str]], model: TfidfModel) -> Csr
     # sorted (row, column) pairs and their term counts
     keys, tf = np.unique(rows[known] * width + columns[known], return_counts=True)
     rows, columns = np.divmod(keys, width)
-    values = tf * model.idf[columns]
-    # np.bincount adds each row's squares left to right into a bin from 0.0; builtin
-    # sum() of floats would round differently from Python 3.12 on
-    norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=n_rows))
-    return CsrRows.from_entries(rows, columns, values / norms[rows], n_rows)
+    raw = CsrRows.from_entries(rows, columns, tf * model.idf[columns], n_rows)
+    norms = np.sqrt(raw.row_sums(raw.data * raw.data))
+    return CsrRows(raw.indptr, raw.indices, raw.data / norms[rows])
 
 
 def transform_tokens(tokens: Iterable[str], model: TfidfModel) -> SparseVector:
@@ -174,6 +185,13 @@ def check_finite(values: np.ndarray) -> None:
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"feature values must be finite, got {values[~finite][0]:g}")
+
+
+def check_columns(indices: np.ndarray, n_features: int) -> None:
+    """Raise a one-line ``ValueError`` at the first index outside [0, ``n_features``)."""
+    outside = indices[(indices < 0) | (indices >= n_features)]
+    if len(outside):
+        raise ValueError(f"feature index {outside[0]} is out of range for {n_features} features")
 
 
 def to_dense(vectors: Sequence[SparseVector] | CsrRows, n_features: int) -> np.ndarray:

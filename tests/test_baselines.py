@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +96,42 @@ class TestNeighborIndex:
         with pytest.raises(ValueError, match=message):
             baselines.NeighborIndex(np.eye(2)).query(np.array([bad, 0.0]), 1)
 
+    def test_sparse_rows_without_n_features_rejected(self):
+        with pytest.raises(ValueError, match=r"^n_features must be given for sparse rows$"):
+            baselines.NeighborIndex(to_csr([sv(1, 0), sv(0, 1)]))
+
+    def test_column_outside_n_features_rejected(self):
+        rows = to_csr([sv(1, 0), SparseVector(((2, 1.0),))])
+        with pytest.raises(ValueError, match=r"^feature index 2 is out of range for 2 features$"):
+            baselines.NeighborIndex(rows, 2)
+
+    @pytest.mark.parametrize("target", [np.ones(2), np.ones(4), np.ones((1, 3)), np.float64(1)])
+    def test_target_of_another_shape_rejected(self, target):
+        message = f"target must have shape (3,), got {np.shape(target)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            baselines.NeighborIndex(np.eye(3)).query(target, 2)
+
+    def test_columns_are_the_transposed_rows(self):
+        rows = random_sparse(np.random.default_rng(5), 12, 9)
+        index = baselines.NeighborIndex(to_csr(rows), 9)
+        assert np.array_equal(to_dense(index._columns, 12), to_dense(rows, 9).T)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 7, 8, 20])
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_nearest_returns_the_k_nearest_rows_left(self, k, exclude):
+        # grid points: many distances tie, and ties go to the lower index
+        points = np.random.default_rng(6).integers(0, 3, (8, 3)).astype(float)
+        queries = np.arange(5)
+        got = baselines.NeighborIndex(points).nearest(
+            CsrRows.from_dense(points[queries]), k, queries if exclude else None
+        )
+        assert len(got) == len(queries)
+        for q, order in zip(queries, got):
+            left = np.array([r for r in range(8) if not (exclude and r == q)])
+            dists = np.linalg.norm(points[left] - points[q], axis=1)
+            want = left[np.argsort(dists, kind="stable")][:k]  # every row left when k >= 8
+            assert len(order) == min(k, len(left)) and order.tolist() == want.tolist()
+
 
 class TestRos:
     def test_copies_are_members(self):
@@ -127,17 +165,39 @@ def test_negative_count_rejected(oversample):
     assert str(exc.value) == "count must be nonnegative, got -1"
 
 
-@pytest.mark.parametrize("oversample, position", [
+# each entry point of the neighbor search, and the position of a bad row in its input
+BAD_ROW_AT = pytest.mark.parametrize("oversample, position", [
     (lambda rows, rng: baselines.smote(rows[:3], 1, 2, rng, 2), 2),
     (lambda rows, rng: baselines.adasyn(rows[:3], rows[3:], 1, 2, rng, 2), 2),
     (lambda rows, rng: baselines.adasyn(rows[:3], rows[3:], 1, 2, rng, 2), 4),
 ], ids=["smote", "adasyn-minority", "adasyn-majority"])
+
+
+@BAD_ROW_AT
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_value_rejected(oversample, position, bad):
     rows = [sv(1, 0), sv(0, 1), sv(1, 1), sv(5, 5), sv(4, 0)]
     rows[position] = sv(bad, 1)
     with pytest.raises(ValueError, match=f"feature values must be finite, got {bad:g}"):
         oversample(rows, np.random.default_rng(0))
+
+
+@BAD_ROW_AT
+def test_column_outside_n_features_rejected(oversample, position):
+    rows = [sv(1, 0), sv(0, 1), sv(1, 1), sv(5, 5), sv(4, 0)]
+    rows[position] = SparseVector(((2, 1.0),))
+    with pytest.raises(ValueError, match=r"^feature index 2 is out of range for 2 features$"):
+        oversample(rows, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("oversample", [
+    lambda minority, rng: baselines.smote(minority, 1, 2, rng, None),
+    lambda minority, rng: baselines.adasyn(minority, [sv(5, 5)], 1, 2, rng, None),
+], ids=["smote", "adasyn"])
+def test_missing_n_features_rejected(oversample):
+    minority = [sv(1, 0), sv(0, 1), sv(1, 1)]
+    with pytest.raises(ValueError, match=r"^n_features must be given for sparse rows$"):
+        oversample(minority, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("oversample", [

@@ -199,6 +199,37 @@ class TestCsrRows:
         with pytest.raises(ValueError, match="feature indices must be integers, got float64"):
             vectorize.CsrRows([0, 1], [0.5], [1.0])
 
+    @given(st.lists(st.lists(
+        st.sampled_from([1e308, -1e308, 1.7e308, 1e-308, 5e-324])
+        | st.floats(-1e3, 1e3, allow_nan=False),
+        max_size=20,  # numpy's pairwise sum takes blocks of 8
+    ), max_size=6))
+    def test_row_sums_add_each_row_left_to_right(self, per_row):
+        rows = vectorize.CsrRows(
+            np.cumsum([0, *map(len, per_row)]),
+            [column for values in per_row for column in range(len(values))],
+            [v for values in per_row for v in values],
+        )
+        want = []
+        for values in per_row:  # empty rows sum to 0.0
+            total = 0.0
+            for value in values:
+                total += value
+            want.append(total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert rows.row_sums(rows.data).tobytes() == np.array(want, dtype=float).tobytes()
+
+    def test_from_dense_reads_each_row_as_the_entrywise_scan(self):
+        points = np.array([[0.0, -0.0, 2.5], [0.0, 0.0, 0.0], [np.nan, 1.0, -0.0], [-3.0, 0.0, 4.0]])
+        rows = vectorize.CsrRows.from_dense(points)
+        assert len(rows) == 4
+        assert rows[2].entries[0][0] == 0 and math.isnan(rows[2].entries[0][1])
+        for row, dense in zip(rows, points):
+            # keeps NaN and drops -0.0; repr tells NaN and exact floats apart
+            want = tuple((i, v) for i, v in enumerate(dense.tolist()) if v != 0.0)
+            assert repr(row.entries) == repr(want)
+            assert repr(vectorize.SparseVector.from_dense(dense).entries) == repr(want)
+
 
 class TestSparseVector:
     def test_rejects_unsorted_entries(self):
