@@ -42,9 +42,6 @@ class VocabPartition:
     words: tuple[str, ...]
     n_min: int  # words[:n_min] is the minority vocabulary
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.words)})
-
     @classmethod
     def from_corpora(
         cls,
@@ -100,7 +97,12 @@ _EMPTY_ROW = _Row((), array("d"))
 
 @dataclass(frozen=True)
 class TransitionModel:
-    """Sparse transition weight table plus empirical minority lengths."""
+    """Sparse transition weight table plus empirical minority lengths.
+
+    Rows are resolved once per state: majority-only words share the marginal
+    row, a minority word with no row has an empty one, and for sampling a
+    zero-mass row falls back to the marginal row, so the walk never stalls.
+    """
 
     partition: VocabPartition
     gamma: float
@@ -109,29 +111,34 @@ class TransitionModel:
     stop_row: _Row  # initial-word counts
     marginal_row: _Row  # minority marginal word counts
 
-    def row(self, idx: int) -> _Row:
-        """Effective sampling row for a state index.
+    def __post_init__(self):
+        part, marginal = self.partition, self.marginal_row
+        stored = [self.min_rows.get(i, _EMPTY_ROW) for i in range(part.n_min)]
+        stored += [marginal] * (part.stop_index - part.n_min) + [self.stop_row]
+        object.__setattr__(self, "_stored", tuple(stored))
+        sampling = tuple(row if row.total > 0 else marginal for row in stored)
+        object.__setattr__(self, "_sampling", sampling)
 
-        Majority-only rows share the minority marginal distribution, and a
-        minority row with no recorded mass falls back to it as well so the
-        walk can never stall.
-        """
-        row = self.stored_row(idx)
-        return row if row.total > 0 else self.marginal_row
+    def _state(self, idx: int) -> int:
+        """``idx`` if it is a state index, else one ``ValueError`` line."""
+        stop = self.partition.stop_index
+        integral = isinstance(idx, numbers.Integral) and not isinstance(idx, bool)
+        if not (integral and 0 <= idx <= stop):
+            raise ValueError(f"state must be an integer in [0, {stop}], got {idx!r}")
+        return idx
+
+    def row(self, idx: int) -> _Row:
+        """Effective sampling row for a state index."""
+        return self._sampling[self._state(idx)]
 
     def stored_row(self, idx: int) -> _Row:
         """Row as estimated, without the zero-mass fallback (for inspection)."""
-        part = self.partition
-        if idx < part.n_min:
-            return self.min_rows.get(idx, _EMPTY_ROW)
-        if idx == part.stop_index:
-            return self.stop_row
-        return self.marginal_row  # majority-only word
+        return self._stored[self._state(idx)]
 
     def weight(self, i: int, j: int) -> float:
         """Unnormalized stored weight from state i to state j."""
         row = self.stored_row(i)
-        pos = bisect_left(row.targets, j)
+        pos = bisect_left(row.targets, self._state(j))
         if pos < len(row.targets) and row.targets[pos] == j:
             return row.weight_values[pos]
         return 0.0
@@ -158,7 +165,8 @@ def estimate(
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
 
     part = VocabPartition.from_corpora(minority_docs, majority_docs)
-    index, n_min, stop = part._index, part.n_min, part.stop_index
+    index = {w: i for i, w in enumerate(part.words)}
+    n_min, stop = part.n_min, part.stop_index
 
     # minority counts before gamma terms, in document order: fixed float sums.
     # Each document opens and closes with the stop state; the opening pairs
@@ -213,13 +221,13 @@ def sample_document(
     """
     if length is None:
         length = int(model.lengths[rng.integers(len(model.lengths))])
-    elif length < 0:
-        raise ValueError(f"length must be nonnegative, got {length}")
-    words, row = model.partition.words, model.row
+    else:
+        check_count(length, "length")
+    words, rows = model.partition.words, model._sampling
     stop = current = model.partition.stop_index
     out: list[str] = []
     while len(out) < length:
-        current = row(current).draw(rng)
+        current = rows[current].draw(rng)
         if current != stop:
             out.append(words[current])
     return out
@@ -233,8 +241,8 @@ def oversample(
     return [sample_document(model, rng) for _ in range(count)]
 
 
-def check_count(count: int) -> None:
+def check_count(count: int, name: str = "count") -> None:
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-        raise ValueError(f"count must be an integer, got {count!r}")
+        raise ValueError(f"{name} must be an integer, got {count!r}")
     if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+        raise ValueError(f"{name} must be nonnegative, got {count}")

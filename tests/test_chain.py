@@ -1,5 +1,6 @@
 import hashlib
 import json
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -172,6 +173,13 @@ class TestSampling:
         with pytest.raises(ValueError) as exc:
             chain.sample_document(model, np.random.default_rng(0), length=-1)
         assert str(exc.value) == "length must be nonnegative, got -1"
+
+    @pytest.mark.parametrize("length", [True, False, 2.5, 3.0, "3"])
+    def test_length_must_be_an_integer(self, length):
+        model = chain.estimate([["a", "b"]], [], gamma=0.0)
+        with pytest.raises(ValueError) as exc:
+            chain.sample_document(model, np.random.default_rng(0), length=length)
+        assert str(exc.value) == f"length must be an integer, got {length!r}"
 
     def test_lengths_drawn_from_empirical_multiset(self):
         model = chain.estimate([["a", "b"], ["b", "a", "b", "a"]], [], gamma=0.0)
@@ -398,3 +406,85 @@ class TestWalkSupport:
             if a in v_min and b not in v_min
         }
         assert walk_support(model, seed) <= v_min | successors
+
+
+def reference_rows(model, state):
+    """(stored row, sampling row) of ``state``, resolved by the rule the walk
+    follows, one step at a time:
+    - a majority-only word takes the marginal row;
+    - the stop state takes the stop row;
+    - a minority word with no row takes an empty row;
+    - a row with zero mass samples from the marginal row."""
+    part = model.partition
+    if state == part.stop_index:
+        stored = model.stop_row
+    elif state >= part.n_min:
+        stored = model.marginal_row
+    else:
+        stored = model.min_rows.get(state, chain._make_row({}))
+    return stored, stored if stored.total > 0 else model.marginal_row
+
+
+def reference_walk(model, rng):
+    """``chain.sample_document`` with each step's row resolved by
+    ``reference_rows``."""
+    length = int(model.lengths[rng.integers(len(model.lengths))])
+    stop = current = model.partition.stop_index
+    out = []
+    while len(out) < length:
+        current = reference_rows(model, current)[1].draw(rng)
+        if current != stop:
+            out.append(model.partition.words[current])
+    return out
+
+
+class TestStateTable:
+    def assert_follows_the_rule(self, model, seeds):
+        for state in range(model.partition.stop_index + 1):
+            stored, sampling = reference_rows(model, state)
+            assert model.stored_row(state) is stored, state
+            assert model.row(state) is sampling, state
+        for seed in seeds:
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [reference_walk(model, twin) for _ in range(20)]
+            assert chain.oversample(model, 20, rng) == want
+
+    @given(MINORITY_DOCS, MAJORITY_DOCS, st.sampled_from([0.0, 0.01, 1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60)
+    def test_estimated_models_walk_as_the_reference(self, minority, majority, gamma, seed):
+        self.assert_follows_the_rule(chain.estimate(minority, majority, gamma), [seed])
+
+    def test_missing_and_zero_mass_rows_walk_as_the_reference(self):
+        # 'b' has no row, 'c' a row of zero mass, and 'd' is majority-only
+        model = chain.TransitionModel(
+            partition=chain.VocabPartition(words=("a", "b", "c", "d"), n_min=3),
+            gamma=1.0,
+            lengths=(1, 4, 7),
+            min_rows={
+                0: chain._make_row({1: 1.0, 3: 2.0, 4: 1.0}),
+                2: chain._Row((0,), array("d", [0.0])),
+            },
+            stop_row=chain._make_row({0: 1.0, 1: 1.0, 2: 1.0}),
+            marginal_row=chain._make_row({0: 2.0, 1: 1.0, 2: 1.0}),
+        )
+        assert model.stored_row(1).total == model.stored_row(2).total == 0.0
+        assert model.stored_row(2).targets == (0,)
+        self.assert_follows_the_rule(model, range(5))
+
+    @pytest.mark.parametrize("state", [-1, 4, 99, True, False, 2.5, np.float64(1.0), "1", None])
+    def test_out_of_range_state_rejected(self, state):
+        model = chain.estimate(MIN_3DOC, MAJ_3DOC, gamma=1.0)
+        message = f"state must be an integer in [0, 3], got {state!r}"
+        calls = (model.row, model.stored_row, lambda s: model.weight(s, 0),
+                 lambda s: model.weight(0, s))
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call(state)
+            assert str(exc.value) == message
+
+    def test_every_state_index_accepted(self):
+        model = chain.estimate(MIN_3DOC, MAJ_3DOC, gamma=1.0)
+        assert model.row(np.int64(3)) is model.stop_row
+        assert model.weight(np.int64(2), np.int64(0)) == 2.0
+        assert model.weight(3, 3) == 0.0
