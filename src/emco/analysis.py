@@ -16,6 +16,7 @@ import numpy as np
 
 from .chain import VocabPartition
 from .metrics import ConfusionCounts, write_rows_csv
+from .vectorize import check_integer
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,10 @@ def growth_curve(
     With ``majority_vocab`` given, each point also counts how many of the
     words new since the previous point already exist in that vocabulary.
     """
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
+    check_integer(step, "step", 1)
     docs = list(documents)
     if shuffle_seed is not None:
-        if shuffle_seed < 0:
-            raise ValueError(f"shuffle_seed must be >= 0, got {shuffle_seed}")
+        check_integer(shuffle_seed, "shuffle_seed")
         rng = np.random.default_rng(shuffle_seed)
         docs = [docs[i] for i in rng.permutation(len(docs))]
 

@@ -26,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import check_count
-from .vectorize import CsrRows, SparseVector, check_columns, check_finite, to_csr, to_dense
+from .vectorize import (
+    CsrRows, SparseVector, check_columns, check_finite, check_integer, to_csr, to_dense,
+)
 
 Rows = Sequence[SparseVector] | CsrRows
 
@@ -60,6 +61,7 @@ class NeighborIndex:
             points, n_features = CsrRows.from_dense(points), points.shape[1]
         if n_features is None:
             raise ValueError("n_features must be given for sparse rows")
+        check_integer(n_features, "n_features")
         check_columns(points.indices, n_features)
         check_finite(points.data)
         self.rows, self.n_features = points, n_features
@@ -84,7 +86,11 @@ class NeighborIndex:
         if target.shape != (self.n_features,):
             raise ValueError(f"target must have shape ({self.n_features},), got {target.shape}")
         check_finite(target)
-        excluded = None if exclude is None else np.array([range(len(self.rows))[exclude]])
+        check_integer(k, "k")
+        n, excluded = len(self.rows), None
+        if exclude is not None:
+            check_integer(exclude, "exclude", -n, n - 1)
+            excluded = np.array([exclude % n])
         return self.nearest(CsrRows.from_dense(target[None, :]), k, excluded)[0]
 
     def nearest(self, queries: CsrRows, k: int, exclude: np.ndarray | None) -> list[np.ndarray]:
@@ -160,8 +166,7 @@ def _minority_neighbors(name: str, minority: CsrRows, k: int, n_features: int) -
     n = len(minority)
     if n < 2:
         raise ValueError(f"{name} needs at least two minority vectors")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_integer(k, "k", 1)
     return NeighborIndex(minority, n_features).nearest(minority, min(k, n - 1), np.arange(n))
 
 
@@ -191,7 +196,7 @@ def _interpolate(minority: CsrRows, neighbors: Sequence[np.ndarray], bases, rng)
 
 def ros(minority: Rows, count: int, rng: np.random.Generator) -> CsrRows:
     """Random oversampling: uniform draws of whole rows, with replacement."""
-    check_count(count)
+    check_integer(count, "count")
     minority = to_csr(minority)
     if not len(minority):
         raise ValueError("minority set is empty")
@@ -207,7 +212,7 @@ def smote(
     base point's k nearest minority neighbors (capped at n-1 when the
     minority sample is small).
     """
-    check_count(count)
+    check_integer(count, "count")
     minority = to_csr(minority)
     neighbors = _minority_neighbors("smote", minority, k, n_features)
     return _interpolate(minority, neighbors, np.arange(count) % len(minority), rng)
@@ -219,6 +224,7 @@ def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     Ties in fractional remainders go to the lower index; the result always
     sums exactly to ``total``.
     """
+    check_integer(total, "total")
     weights = np.asarray(weights, dtype=float)
     if weights.sum() <= 0:
         raise ValueError("weights must have positive sum")
@@ -244,7 +250,7 @@ def adasyn(
     in SMOTE, found by the same search over the minority rows that SMOTE
     runs; a second search over the full set gives only the shares.
     """
-    check_count(count)
+    check_integer(count, "count")
     minority = to_csr(minority)
     n = len(minority)
     neighbors = _minority_neighbors("adasyn", minority, k, n_features)

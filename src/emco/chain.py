@@ -21,7 +21,6 @@ side="right")`` picks. Rows are built with no numpy call; ``indices`` and
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -29,6 +28,8 @@ from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
+
+from .vectorize import check_integer
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class _Row:
 _EMPTY_ROW = _Row((), array("d"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionModel:
     """Sparse transition weight table plus empirical minority lengths.
 
@@ -121,10 +122,7 @@ class TransitionModel:
 
     def _state(self, idx: int) -> int:
         """``idx`` if it is a state index, else one ``ValueError`` line."""
-        stop = self.partition.stop_index
-        integral = isinstance(idx, numbers.Integral) and not isinstance(idx, bool)
-        if not (integral and 0 <= idx <= stop):
-            raise ValueError(f"state must be an integer in [0, {stop}], got {idx!r}")
+        check_integer(idx, "state", 0, self.partition.stop_index)
         return idx
 
     def row(self, idx: int) -> _Row:
@@ -222,7 +220,7 @@ def sample_document(
     if length is None:
         length = int(model.lengths[rng.integers(len(model.lengths))])
     else:
-        check_count(length, "length")
+        check_integer(length, "length")
     words, rows = model.partition.words, model._sampling
     stop = current = model.partition.stop_index
     out: list[str] = []
@@ -237,12 +235,5 @@ def oversample(
     model: TransitionModel, count: int, rng: np.random.Generator
 ) -> list[list[str]]:
     """Draw ``count`` independent synthetic documents."""
-    check_count(count)
+    check_integer(count, "count")
     return [sample_document(model, rng) for _ in range(count)]
-
-
-def check_count(count: int, name: str = "count") -> None:
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {count!r}")
-    if count < 0:
-        raise ValueError(f"{name} must be nonnegative, got {count}")

@@ -28,7 +28,6 @@ import functools
 import hashlib
 import logging
 import math
-import numbers
 import os
 import platform
 import sys
@@ -38,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vectorize import CsrRows, SparseVector, check_columns, check_finite, to_csr
+from .vectorize import CsrRows, SparseVector, check_columns, check_finite, check_integer, to_csr
 
 log = logging.getLogger(__name__)
 
@@ -66,13 +65,10 @@ def train(
     for name, value in (("c", c), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
-        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    integral = isinstance(n_features, numbers.Integral) and not isinstance(n_features, bool)
-    if n_features is not None and not (integral and n_features >= 0):
-        raise ValueError(f"n_features must be an integer >= 0, got {n_features!r}")
+    check_integer(max_iters, "max_iters", 1)
+    if n_features is not None:
+        check_integer(n_features, "n_features")
+    check_integer(seed, "seed")
     y = np.array(labels, dtype=float)  # a contiguous copy, which the kernel reads
     wrong = (y != 1.0) & (y != -1.0)
     if wrong.any():

@@ -155,10 +155,8 @@ def synthetic_count(n_train: int, m_minority: int, ratio: float) -> int:
     """Smallest s >= 0 with (m + s) / (n + s) >= ratio."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-    if n_train < 1:
-        raise ValueError(f"training count must be >= 1, got {n_train}")
-    if not 0 <= m_minority <= n_train:
-        raise ValueError(f"minority count must be in [0, {n_train}], got {m_minority}")
+    vectorize.check_integer(n_train, "training count", 1)
+    vectorize.check_integer(m_minority, "minority count", 0, n_train)
     s = max(0, math.ceil((ratio * n_train - m_minority) / (1.0 - ratio)))
     # guard against float rounding at the boundary
     while s > 0 and (m_minority + s - 1) / (n_train + s - 1) >= ratio:

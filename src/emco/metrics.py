@@ -8,6 +8,8 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .vectorize import check_integer
+
 VERY_LOW_BAND_THRESHOLD = 0.015  # training relative frequency below this
 
 METRIC_NAMES = ("recall", "tnr", "precision", "ba", "f1", "f2")
@@ -26,8 +28,8 @@ class ConfusionCounts:
     fn: int
 
     def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be nonnegative")
+        for name in ("tp", "fp", "tn", "fn"):
+            check_integer(getattr(self, name), name)
 
     @property
     def total(self) -> int:

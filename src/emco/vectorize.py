@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -185,6 +186,17 @@ def check_finite(values: np.ndarray) -> None:
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"feature values must be finite, got {values[~finite][0]:g}")
+
+
+def check_integer(value, name: str, low: int = 0, high: int | None = None) -> None:
+    """Raise a one-line ``ValueError`` naming ``name`` unless ``value`` is an
+    integer (not a bool) in [``low``, ``high``]; no ``high`` leaves it unbounded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
 
 
 def check_columns(indices: np.ndarray, n_features: int) -> None:

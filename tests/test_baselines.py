@@ -162,7 +162,7 @@ def test_negative_count_rejected(oversample):
     minority = [sv(1, 0), sv(0, 1), sv(1, 1)]
     with pytest.raises(ValueError) as exc:
         oversample(minority, -1, np.random.default_rng(0))
-    assert str(exc.value) == "count must be nonnegative, got -1"
+    assert str(exc.value) == "count must be >= 0, got -1"
 
 
 # each entry point of the neighbor search, and the position of a bad row in its input

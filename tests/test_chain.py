@@ -172,7 +172,7 @@ class TestSampling:
         model = chain.estimate([["a", "b"]], [], gamma=0.0)
         with pytest.raises(ValueError) as exc:
             chain.sample_document(model, np.random.default_rng(0), length=-1)
-        assert str(exc.value) == "length must be nonnegative, got -1"
+        assert str(exc.value) == "length must be >= 0, got -1"
 
     @pytest.mark.parametrize("length", [True, False, 2.5, 3.0, "3"])
     def test_length_must_be_an_integer(self, length):
@@ -475,7 +475,8 @@ class TestStateTable:
     @pytest.mark.parametrize("state", [-1, 4, 99, True, False, 2.5, np.float64(1.0), "1", None])
     def test_out_of_range_state_rejected(self, state):
         model = chain.estimate(MIN_3DOC, MAJ_3DOC, gamma=1.0)
-        message = f"state must be an integer in [0, 3], got {state!r}"
+        message = (f"state must be in [0, 3], got {state}" if type(state) is int
+                   else f"state must be an integer, got {state!r}")
         calls = (model.row, model.stored_row, lambda s: model.weight(s, 0),
                  lambda s: model.weight(0, s))
         for call in calls:
@@ -488,3 +489,11 @@ class TestStateTable:
         assert model.row(np.int64(3)) is model.stop_row
         assert model.weight(np.int64(2), np.int64(0)) == 2.0
         assert model.weight(3, 3) == 0.0
+
+    def test_models_compare_by_identity(self):
+        model = chain.estimate(MIN_3DOC, MAJ_3DOC, gamma=1.0)
+        again = chain.estimate(MIN_3DOC, MAJ_3DOC, gamma=1.0)
+        assert model == model and hash(model) == hash(model)
+        assert model != again
+        keys = {model: "first", again: "second"}
+        assert len(keys) == 2 and keys[model] == "first"

@@ -313,3 +313,19 @@ class TestSparseVector:
             assert data.dtype == np.float64
             assert all(a.flags.c_contiguous for a in (indptr, indices, data))
 
+
+
+class TestCheckInteger:
+    def test_numpy_integers_at_the_bounds_pass(self):
+        for value in (np.int64(-2), np.uint8(3), 3):
+            vectorize.check_integer(value, "value", -2, 3)
+        vectorize.check_integer(np.int64(10**18), "value")
+
+    @pytest.mark.parametrize("value, message", [
+        (np.bool_(True), "value must be an integer, got np.True_"),
+        (np.int64(-3), "value must be in [-2, 3], got -3"),
+    ])
+    def test_numpy_scalars_rejected(self, value, message):
+        with pytest.raises(ValueError) as exc:
+            vectorize.check_integer(value, "value", -2, 3)
+        assert str(exc.value) == message
