@@ -94,12 +94,13 @@ def growth_curve(
 
 def fit_heaps(points: Sequence[GrowthPoint]) -> HeapsFit:
     """OLS fit of ln T on ln A; theta is the slope, k = exp(intercept)."""
+    for p in points:
+        check_integer(p.total_words, "total_words", 1)
+        check_integer(p.vocab_size, "vocab_size", 1)
     a = np.array([p.total_words for p in points], dtype=float)
     t = np.array([p.vocab_size for p in points], dtype=float)
     if len(a) < 2 or len(set(a.tolist())) < 2:
         raise ValueError("need at least two points with distinct word counts")
-    if np.any(a < 1) or np.any(t < 1):
-        raise ValueError("all counts must be >= 1")
     log_a = np.log(a)
     log_t = np.log(t)
     theta, intercept = np.polyfit(log_a, log_t, 1)

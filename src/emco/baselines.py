@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .vectorize import (
-    CsrRows, SparseVector, check_columns, check_finite, check_integer, to_csr, to_dense,
+    CsrRows, SparseVector, check_columns, check_integer, check_real, to_csr, to_dense,
 )
 
 Rows = Sequence[SparseVector] | CsrRows
@@ -58,12 +58,15 @@ class NeighborIndex:
             points = np.asarray(points, dtype=float)
             if points.ndim != 2:
                 raise ValueError(f"points must be two-dimensional, got shape {points.shape}")
-            points, n_features = CsrRows.from_dense(points), points.shape[1]
+            width = points.shape[1]
+            if n_features not in (None, width):
+                raise ValueError(f"n_features must be the dense width {width}, got {n_features!r}")
+            points, n_features = CsrRows.from_dense(points), width
         if n_features is None:
             raise ValueError("n_features must be given for sparse rows")
         check_integer(n_features, "n_features")
         check_columns(points.indices, n_features)
-        check_finite(points.data)
+        check_real(points.data, "feature values")
         self.rows, self.n_features = points, n_features
         self.squared_norms = points.row_sums(points.data * points.data)
         # the transposed rows: row c holds the reference rows with an entry in
@@ -85,7 +88,7 @@ class NeighborIndex:
         target = np.asarray(target, dtype=float)
         if target.shape != (self.n_features,):
             raise ValueError(f"target must have shape ({self.n_features},), got {target.shape}")
-        check_finite(target)
+        check_real(target, "feature values")
         check_integer(k, "k")
         n, excluded = len(self.rows), None
         if exclude is not None:
@@ -226,6 +229,7 @@ def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     """
     check_integer(total, "total")
     weights = np.asarray(weights, dtype=float)
+    check_real(weights, "weights", ge=0)
     if weights.sum() <= 0:
         raise ValueError("weights must have positive sum")
     quotas = total * weights / weights.sum()

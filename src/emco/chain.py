@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vectorize import check_integer
+from .vectorize import check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,7 @@ def estimate(
         raise ValueError("minority document set is empty")
     if not all(minority_docs):
         raise ValueError("minority documents must be nonempty")
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+    check_real(gamma, "gamma", ge=0)
 
     part = VocabPartition.from_corpora(minority_docs, majority_docs)
     index = {w: i for i, w in enumerate(part.words)}

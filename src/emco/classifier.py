@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import logging
-import math
 import os
 import platform
 import sys
@@ -37,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vectorize import CsrRows, SparseVector, check_columns, check_finite, check_integer, to_csr
+from .vectorize import CsrRows, SparseVector, check_columns, check_integer, check_real, to_csr
 
 log = logging.getLogger(__name__)
 
@@ -62,9 +61,8 @@ def train(
 ) -> LinearModel:
     """Fit the classifier; labels must be -1/+1 with both classes present,
     every feature index below ``n_features`` and every value finite."""
-    for name, value in (("c", c), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    check_real(c, "c", gt=0)
+    check_real(tol, "tol", gt=0)
     check_integer(max_iters, "max_iters", 1)
     if n_features is not None:
         check_integer(n_features, "n_features")
@@ -82,7 +80,7 @@ def train(
     if n_features is None:
         n_features = int(indices.max(initial=-1)) + 1
     check_columns(indices, n_features)
-    check_finite(data)
+    check_real(data, "feature values")
 
     qii = rows.row_sums(data * data) + 1.0  # + the bias
     solve = _python_epochs if load_kernel() is None else _compiled_epochs

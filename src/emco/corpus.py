@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .data import stopwords_path
 from .stemming import PorterStemmer
+from .vectorize import check_real
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 
@@ -223,8 +224,7 @@ def build_ovr_tasks(
     below 0.75 x sampling_ratio. Tasks whose test split lacks a positive or a
     negative document are flagged unevaluable rather than dropped.
     """
-    if not 0.0 < sampling_ratio < 1.0:
-        raise ValueError(f"sampling_ratio must be in (0, 1), got {sampling_ratio}")
+    check_real(sampling_ratio, "sampling ratio", gt=0, lt=1)
     train = training_documents(corpus)
     test = tuple(test_documents(corpus))
     n_train = len(train)

@@ -67,6 +67,7 @@ class ExperimentConfig:
             _check_type(key, getattr(self, key), numbers.Integral, "an integer")
         for key in ("c", "tol"):
             _check_type(key, getattr(self, key), numbers.Real, "a number")
+            vectorize.check_real(getattr(self, key), f"config key {key!r}", gt=0)
         for key in ("gammas", "sampling_ratios"):
             for value in getattr(self, key):
                 _check_type(key, value, numbers.Real, "a list of numbers")
@@ -79,19 +80,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {method!r}")
             if self.methods.count(method) > 1:
                 raise ValueError(f"method {method!r} is repeated")
-        for ratio in self.sampling_ratios:
-            if not 0.0 < ratio < 1.0:
-                raise ValueError(f"sampling ratio must be in (0, 1): {ratio}")
+        for key, bounds in (("gammas", {"ge": 0}), ("sampling_ratios", {"gt": 0, "lt": 1})):
+            for value in getattr(self, key):
+                vectorize.check_real(value, f"config key {key!r}", **bounds)
         for key in ("repetitions", "k_neighbors", "max_iters", "workers"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ValueError(f"config key {key!r} must be >= 1, got {value}")
-        for key in ("c", "tol"):
-            value = getattr(self, key)
-            if not value > 0:
-                raise ValueError(f"config key {key!r} must be > 0, got {value}")
-            if not math.isfinite(value):
-                raise ValueError(f"config key {key!r} must be finite and > 0, got {value}")
+            vectorize.check_integer(getattr(self, key), f"config key {key!r}", 1)
         # _run_jobs forks the workers after the first
         if self.workers > 1:
             import multiprocessing  # ~8 ms, so imported only where it is used
@@ -106,11 +99,6 @@ class ExperimentConfig:
         # int gamma must become a float to give the same results as 1.0, and
         # -0.0 must become 0.0 (adding 0.0 does that).
         object.__setattr__(self, "gammas", tuple(float(g) + 0.0 for g in self.gammas))
-        for gamma in self.gammas:
-            if not (math.isfinite(gamma) and gamma >= 0):
-                raise ValueError(
-                    f"config key 'gammas' must hold finite values >= 0, got {gamma}"
-                )
         # rows and aggregate groups are keyed by these labels
         for key in ("gammas", "sampling_ratios"):
             labels: dict[str, float] = {}
@@ -153,8 +141,7 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 def synthetic_count(n_train: int, m_minority: int, ratio: float) -> int:
     """Smallest s >= 0 with (m + s) / (n + s) >= ratio."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+    vectorize.check_real(ratio, "sampling ratio", gt=0, lt=1)
     vectorize.check_integer(n_train, "training count", 1)
     vectorize.check_integer(m_minority, "minority count", 0, n_train)
     s = max(0, math.ceil((ratio * n_train - m_minority) / (1.0 - ratio)))

@@ -13,11 +13,12 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document
+if TYPE_CHECKING:
+    from .corpus import Document
 
 
 @dataclass(frozen=True)
@@ -181,13 +182,6 @@ def to_csr(vectors: Sequence[SparseVector] | CsrRows) -> CsrRows:
     return CsrRows(indptr, np.array(indices), np.array(data, dtype=float))
 
 
-def check_finite(values: np.ndarray) -> None:
-    """Raise a one-line ``ValueError`` at the first NaN or infinite value."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise ValueError(f"feature values must be finite, got {values[~finite][0]:g}")
-
-
 def check_integer(value, name: str, low: int = 0, high: int | None = None) -> None:
     """Raise a one-line ``ValueError`` naming ``name`` unless ``value`` is an
     integer (not a bool) in [``low``, ``high``]; no ``high`` leaves it unbounded."""
@@ -197,6 +191,23 @@ def check_integer(value, name: str, low: int = 0, high: int | None = None) -> No
         raise ValueError(f"{name} must be >= {low}, got {value}")
     if high is not None and not low <= value <= high:
         raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+
+
+def check_real(value, name: str, ge=None, gt=None, lt=None) -> None:
+    """Raise a one-line ``ValueError`` naming ``name`` unless ``value`` (a number, not a bool,
+    or an array) is finite and ``>= ge``, ``> gt`` and ``< lt`` where given; ``lt`` needs ``gt``."""
+    array = np.asarray(value)  # an int too wide for 64 bits is an object array: refused
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    inside, rule = np.isfinite(array), "finite"
+    if ge is not None:
+        inside, rule = inside & (array >= ge), f"finite and >= {ge}"
+    if gt is not None:
+        inside, rule = inside & (array > gt), f"finite and > {gt}"
+    if lt is not None:
+        inside, rule = inside & (array < lt), f"in ({gt}, {lt})"
+    if not inside.all():
+        raise ValueError(f"{name} must be {rule}, got {array[~inside][0]}")
 
 
 def check_columns(indices: np.ndarray, n_features: int) -> None:

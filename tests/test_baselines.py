@@ -100,6 +100,15 @@ class TestNeighborIndex:
         with pytest.raises(ValueError, match=r"^n_features must be given for sparse rows$"):
             baselines.NeighborIndex(to_csr([sv(1, 0), sv(0, 1)]))
 
+    @pytest.mark.parametrize("n_features", [3, 7, "4"])
+    def test_dense_width_that_disagrees_rejected(self, n_features):
+        message = f"n_features must be the dense width 4, got {n_features!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            baselines.NeighborIndex(np.eye(4), n_features)
+
+    def test_dense_width_that_agrees_accepted(self):
+        assert baselines.NeighborIndex(np.eye(4), 4).n_features == 4
+
     def test_column_outside_n_features_rejected(self):
         rows = to_csr([sv(1, 0), SparseVector(((2, 1.0),))])
         with pytest.raises(ValueError, match=r"^feature index 2 is out of range for 2 features$"):

@@ -758,13 +758,13 @@ class TestCli:
         ({"workers": 1.5}, "error: config key 'workers' must be an integer, got float"),
         ({"c": "1"}, "error: config key 'c' must be a number, got str"),
         ({"gammas": ["1"]}, "error: config key 'gammas' must be a list of numbers, got str"),
-        ({"c": 0}, "error: config key 'c' must be > 0, got 0"),
-        ({"tol": -0.001}, "error: config key 'tol' must be > 0, got -0.001"),
+        ({"c": 0}, "error: config key 'c' must be finite and > 0, got 0"),
+        ({"tol": -0.001}, "error: config key 'tol' must be finite and > 0, got -0.001"),
         ({"k_neighbors": 0}, "error: config key 'k_neighbors' must be >= 1, got 0"),
         ({"workers": 0}, "error: config key 'workers' must be >= 1, got 0"),
         ({"max_iters": 0}, "error: config key 'max_iters' must be >= 1, got 0"),
-        ({"gammas": [float("nan")]}, "error: config key 'gammas' must hold finite values >= 0, got nan"),
-        ({"gammas": [-0.5]}, "error: config key 'gammas' must hold finite values >= 0, got -0.5"),
+        ({"gammas": [float("nan")]}, "error: config key 'gammas' must be finite and >= 0, got nan"),
+        ({"gammas": [-0.5]}, "error: config key 'gammas' must be finite and >= 0, got -0.5"),
         ({"gammas": [0.1234567, 0.1234568]},
          "error: gammas 0.1234567 and 0.1234568 share the label '0.123457'"),
         ({"sampling_ratios": [0.1234567, 0.1234568]},
@@ -956,7 +956,7 @@ class TestCli:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: gamma must be finite and nonnegative, got {gamma}\n"
+        assert captured.err == f"error: gamma must be finite and >= 0, got {gamma}\n"
 
     def test_vocab_eval_rejects_gamma_that_overflows_the_weights(self, capsys):
         rc = cli.main([

@@ -69,6 +69,12 @@ GATED = [
      0, "step must be >= 1, got 0"),
     ("growth_curve shuffle_seed", lambda v: analysis.growth_curve([["a"]], 1, shuffle_seed=v),
      -1, "shuffle_seed must be >= 0, got -1"),
+    ("fit_heaps total_words",
+     lambda v: analysis.fit_heaps([analysis.GrowthPoint(v, 1), analysis.GrowthPoint(10, 3)]),
+     0, "total_words must be >= 1, got 0"),
+    ("fit_heaps vocab_size",
+     lambda v: analysis.fit_heaps([analysis.GrowthPoint(1, v), analysis.GrowthPoint(10, 3)]),
+     0, "vocab_size must be >= 1, got 0"),
     ("synthetic_count n_train", lambda v: harness.synthetic_count(v, 0, 0.2),
      0, "training count must be >= 1, got 0"),
     ("synthetic_count m_minority", lambda v: harness.synthetic_count(5, v, 0.2),
