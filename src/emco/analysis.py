@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import VocabPartition
 from .metrics import ConfusionCounts, write_rows_csv
-from .vectorize import check_integer
+from .vectorize import check_documents, check_integer
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,7 @@ def growth_curve(
     """
     check_integer(step, "step", 1)
     docs = list(documents)
+    check_documents(docs, "document")
     if shuffle_seed is not None:
         check_integer(shuffle_seed, "shuffle_seed")
         rng = np.random.default_rng(shuffle_seed)
@@ -117,6 +118,8 @@ def vocab_expansion_eval(
     minority_test_docs: Sequence[Sequence[str]],
 ) -> VocabExpansionReport:
     """Score how well synthetic vocabulary growth predicts the true growth."""
+    check_documents(synthetic_docs, "synthetic document")
+    check_documents(minority_test_docs, "minority test document")
     v_min = set(partition.v_min)
     v_maj_only = set(partition.v_maj_only)
     synthetic_vocab = {w for doc in synthetic_docs for w in doc}

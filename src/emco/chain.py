@@ -23,13 +23,14 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .vectorize import check_integer, check_real
+from .vectorize import check_documents, check_integer, check_real, check_type
 
 
 @dataclass(frozen=True)
@@ -43,14 +44,25 @@ class VocabPartition:
     words: tuple[str, ...]
     n_min: int  # words[:n_min] is the minority vocabulary
 
+    def __post_init__(self):
+        check_integer(self.n_min, "n_min", 0, len(self.words))
+        if len(set(self.words)) < len(self.words):
+            repeated = next(w for w, n in Counter(self.words).items() if n > 1)
+            raise ValueError(f"word {repeated!r} is repeated")
+
     @classmethod
     def from_corpora(
         cls,
         minority_docs: Sequence[Sequence[str]],
         majority_docs: Sequence[Sequence[str]],
     ) -> "VocabPartition":
-        v_min = sorted({w for doc in minority_docs for w in doc})
-        v_maj_only = sorted({w for doc in majority_docs for w in doc}.difference(v_min))
+        v_min = {w for doc in minority_docs for w in doc}
+        v_maj_only = {w for doc in majority_docs for w in doc}.difference(v_min)
+        for words in (v_min, v_maj_only):
+            if not all(isinstance(w, str) for w in words):
+                for w in words:
+                    check_type(w, "word", str, "a string")
+        v_min, v_maj_only = sorted(v_min), sorted(v_maj_only)
         return cls(words=tuple(v_min + v_maj_only), n_min=len(v_min))
 
     @property
@@ -157,6 +169,8 @@ def estimate(
     """Estimate the transition weight table for one oversampling task."""
     if not minority_docs:
         raise ValueError("minority document set is empty")
+    check_documents(minority_docs, "minority document")
+    check_documents(majority_docs, "majority document")
     if not all(minority_docs):
         raise ValueError("minority documents must be nonempty")
     check_real(gamma, "gamma", ge=0)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, chain, corpus, harness, metrics
+from . import analysis, chain, corpus, harness, metrics, vectorize
 
 
 def _add_config_args(parser: argparse.ArgumentParser, methods: bool) -> None:
@@ -51,9 +51,7 @@ def _build_config(args: argparse.Namespace, **defaults) -> harness.ExperimentCon
                 loaded = json.load(handle)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"{args.config}: {exc}") from None
-        if not isinstance(loaded, dict):
-            kind = type(loaded).__name__
-            raise ValueError(f"config file must hold a JSON object, got {kind}")
+        vectorize.check_type(loaded, "config file", dict, "a JSON object")
         base.update(loaded)
     for f in fields(harness.ExperimentConfig):
         value = getattr(args, f.name, None)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .data import stopwords_path
 from .stemming import PorterStemmer
-from .vectorize import check_real
+from .vectorize import check_real, check_type
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 
@@ -96,29 +96,20 @@ def load_corpus_jsonl(path: str | Path) -> list[RawDocument]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object")
+        check_type(obj, f"{path}:{lineno}: line", dict, "a JSON object")
         for key in ("id", "text", "labels", "split"):
             if key not in obj:
                 raise ValueError(f"{path}:{lineno}: missing key {key!r}")
         split = obj["split"]
         if split not in ("train", "test"):
             raise ValueError(f"{path}:{lineno}: bad split {split!r}")
-        if not isinstance(obj["labels"], list):
-            raise ValueError(
-                f"{path}:{lineno}: labels must be a list, "
-                f"got {type(obj['labels']).__name__}"
-            )
+        check_type(obj["labels"], f"{path}:{lineno}: labels", list, "a list")
         for key, value, kinds, description in (
             ("id", obj["id"], (str, int), "a string or an integer"),
             ("text", obj["text"], str, "a string"),
             *(("labels", x, str, "a list of strings") for x in obj["labels"]),
         ):
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(
-                    f"{path}:{lineno}: {key} must be {description}, "
-                    f"got {type(value).__name__}"
-                )
+            check_type(value, f"{path}:{lineno}: {key}", kinds, description)
         doc_id = str(obj["id"])
         if doc_id in seen:
             raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")

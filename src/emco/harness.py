@@ -31,6 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import baselines, chain, classifier, corpus, metrics, vectorize
+from .vectorize import check_type
 
 log = logging.getLogger(__name__)
 
@@ -57,20 +58,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("methods", "gammas", "sampling_ratios"):
-            _check_type(key, getattr(self, key), (list, tuple), "a list")
+            check_type(getattr(self, key), f"config key {key!r}", (list, tuple), "a list")
             object.__setattr__(self, key, tuple(getattr(self, key)))
         for key in ("corpus_path", "output_dir", "dataset"):
-            _check_type(key, getattr(self, key), str, "a string")
+            check_type(getattr(self, key), f"config key {key!r}", str, "a string")
         if self.stopwords_path is not None:
-            _check_type("stopwords_path", self.stopwords_path, str, "a string")
+            check_type(self.stopwords_path, "config key 'stopwords_path'", str, "a string")
         for key in ("repetitions", "k_neighbors", "max_iters", "master_seed", "workers"):
-            _check_type(key, getattr(self, key), numbers.Integral, "an integer")
+            check_type(getattr(self, key), f"config key {key!r}", numbers.Integral, "an integer")
         for key in ("c", "tol"):
-            _check_type(key, getattr(self, key), numbers.Real, "a number")
+            check_type(getattr(self, key), f"config key {key!r}", numbers.Real, "a number")
             vectorize.check_real(getattr(self, key), f"config key {key!r}", gt=0)
         for key in ("gammas", "sampling_ratios"):
             for value in getattr(self, key):
-                _check_type(key, value, numbers.Real, "a list of numbers")
+                check_type(value, f"config key {key!r}", numbers.Real, "a list of numbers")
 
         for key in ("methods", "sampling_ratios"):
             if not getattr(self, key):
@@ -123,13 +124,6 @@ class ExperimentConfig:
         if "corpus_path" not in obj:
             raise ValueError("a corpus path is required (--corpus or config)")
         return ExperimentConfig(**obj)
-
-
-def _check_type(key: str, value, kind: type | tuple, description: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(
-            f"config key {key!r} must be {description}, got {type(value).__name__}"
-        )
 
 
 def derive_seed(master_seed: int, *parts) -> int:

@@ -112,6 +112,8 @@ def macro_average(
     band_values: dict[str, dict[str, list[float]]] = {}
     band_counts: dict[str, int] = {}
     for category, cat_rows in per_category.items():
+        if category not in frequencies:
+            raise ValueError(f"category {category!r} has no training frequency")
         band = band_of(frequencies[category])
         dest = band_values.setdefault(band, {m: [] for m in METRIC_NAMES})
         band_counts[band] = band_counts.get(band, 0) + 1

@@ -149,9 +149,11 @@ def fit_tfidf(training_docs: Sequence[Document]) -> TfidfModel:
     return TfidfModel(vocabulary=vocab, idf=idf)
 
 
-def transform_rows(documents: Iterable[Iterable[str]], model: TfidfModel) -> CsrRows:
-    """One row per token list: tf x idf, then each value divided by the row's
-    L2 norm; out-of-vocabulary tokens are dropped."""
+def transform_rows(documents: Iterable[Sequence[str]], model: TfidfModel) -> CsrRows:
+    """One row per token list or tuple: tf x idf, then each value divided by
+    the row's L2 norm; out-of-vocabulary tokens are dropped."""
+    documents = list(documents)
+    check_documents(documents, "document")
     column = model.vocabulary.get
     per_row = [[column(t, -1) for t in tokens] for tokens in documents]
     n_rows = len(per_row)
@@ -167,7 +169,7 @@ def transform_rows(documents: Iterable[Iterable[str]], model: TfidfModel) -> Csr
     return CsrRows(raw.indptr, raw.indices, raw.data / norms[rows])
 
 
-def transform_tokens(tokens: Iterable[str], model: TfidfModel) -> SparseVector:
+def transform_tokens(tokens: Sequence[str], model: TfidfModel) -> SparseVector:
     """One token list as ``transform_rows`` vectorizes it."""
     return transform_rows([tokens], model)[0]
 
@@ -180,6 +182,20 @@ def to_csr(vectors: Sequence[SparseVector] | CsrRows) -> CsrRows:
     indices, data = zip(*entries) if entries else ((), ())
     indptr = np.cumsum([0, *(len(vec.entries) for vec in vectors)])
     return CsrRows(indptr, np.array(indices), np.array(data, dtype=float))
+
+
+def check_type(value, name: str, kinds: type | tuple, description: str) -> None:
+    """Raise a one-line ``ValueError`` naming ``name`` unless ``value`` is an
+    instance of ``kinds``; a bool never is."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {description}, got {type(value).__name__}")
+
+
+def check_documents(documents: Sequence, name: str) -> None:
+    """``check_type`` on each document: it must be a list or a tuple of tokens."""
+    if not all(isinstance(doc, (list, tuple)) for doc in documents):
+        for doc in documents:
+            check_type(doc, name, (list, tuple), "a list of tokens")
 
 
 def check_integer(value, name: str, low: int = 0, high: int | None = None) -> None:

@@ -44,6 +44,12 @@ class TestPartition:
         for idx, word in enumerate(part.words):
             assert part.words.index(word) == idx
 
+    def test_repeated_word_is_one_line(self):
+        # a repeated word would be a minority word and a majority-only word at once
+        with pytest.raises(ValueError) as exc:
+            chain.VocabPartition(words=("a", "b", "c", "b", "a"), n_min=1)
+        assert str(exc.value) == "word 'a' is repeated"
+
 
 class TestEstimate:
     def test_three_doc_oracle_gamma_one(self):

@@ -182,7 +182,7 @@ def test_corpus_jsonl_bad_split(tmp_path):
 @pytest.mark.parametrize("lines, message", [
     (['{"id": "1", "text": "x", "split": "train"}'], ":1: missing key 'labels'"),
     (['{"text": "x", "labels": [], "split": "train"}'], ":1: missing key 'id'"),
-    (['["1", "x", [], "train"]'], ":1: expected a JSON object"),
+    (['["1", "x", [], "train"]'], ":1: line must be a JSON object, got list"),
     (['{"id": "1", "text": "x", "labels": "abc", "split": "train"}'],
      ":1: labels must be a list, got str"),
     (['{"id": "1", "text": "x", "labels": [], "split": "train"}',

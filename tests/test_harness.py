@@ -641,6 +641,41 @@ class TestDeterminism:
         assert output_digests(tmp_path) == MINI_RUN_DIGESTS
 
 
+# The README quick start's other commands: the stdout of those that print their
+# result, the CSV of those that write one. heaps_fit.json is left out, since
+# np.polyfit's least squares may round its last bits differently between numpy
+# builds.
+QUICK_START_DIGESTS = {
+    "prep": "74b9289f139db4e7468caf083c0cf3bb6548655b101abc93a27c1974adcfff8d",
+    "sweep.csv": "328de453ef038f5e0543121922fc9cc69ff0b0c326860774dd3c6bb2f789b6e7",
+    "growth.csv": "b2bbfe702c3dddb24701894d0b3904e0053288b1935afae8bac9ff0c62cb712e",
+    "low/growth.csv": "c7aed240a1a10154bf98126be9b8b279340ee9fd2db17f187bf75e9194457870",
+    "vocab-eval gamma 1.0": "7cb583a7fa5ea25d88f76c4d16ece22067be4604d343846f02893b742909fa05",
+    "vocab-eval gamma 0": "ade92f904215d59d111683bb0efc993733cfcdbf57529f52c506cecb72a4d5e7",
+}
+
+
+def test_quick_start_outputs_are_pinned(tmp_path, capsys):
+    def stdout_of(*argv):
+        assert cli.main([*argv, "--corpus", str(mini_corpus_path())]) == 0
+        return capsys.readouterr().out.encode()
+
+    out = str(tmp_path)
+    outputs = {
+        "prep": stdout_of("prep"),
+        "vocab-eval gamma 1.0": stdout_of("vocab-eval", "--category", "low", "--gamma", "1.0"),
+        "vocab-eval gamma 0": stdout_of("vocab-eval", "--category", "low", "--gamma", "0"),
+    }
+    stdout_of("sweep", "--output-dir", out, "--gammas", "0", "0.01", "0.1", "1",
+              "--ratios", "0.2", "--repetitions", "3")
+    stdout_of("growth", "--step", "20", "--output-dir", out)
+    stdout_of("growth", "--category", "low", "--step", "5", "--output-dir", f"{out}/low")
+    for name in ("sweep.csv", "growth.csv", "low/growth.csv"):
+        outputs[name] = (tmp_path / name).read_bytes()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == QUICK_START_DIGESTS
+
+
 def test_import_and_prepare_load_neither_multiprocessing_nor_solver():
     # multiprocessing costs about 8 ms of import time; only running jobs
     # and the workers > 1 check need it. Nor may set-up build or load the
@@ -774,10 +809,10 @@ class TestCli:
         ({"gammas": [1, 1.0]}, "error: gammas 1.0 and 1.0 share the label '1'"),
         ({"methods": ["ros", "none", "ros"]}, "error: method 'ros' is repeated"),
         ({"gammas": [0, -0.0]}, "error: gammas 0.0 and 0.0 share the label '0'"),
-        ([1, 2], "error: config file must hold a JSON object, got list"),
-        (5, "error: config file must hold a JSON object, got int"),
-        (None, "error: config file must hold a JSON object, got NoneType"),
-        ("abc", "error: config file must hold a JSON object, got str"),
+        ([1, 2], "error: config file must be a JSON object, got list"),
+        (5, "error: config file must be a JSON object, got int"),
+        (None, "error: config file must be a JSON object, got NoneType"),
+        ("abc", "error: config file must be a JSON object, got str"),
         ({"c": float("inf")}, "error: config key 'c' must be finite and > 0, got inf"),
         ({"tol": float("inf")}, "error: config key 'tol' must be finite and > 0, got inf"),
         ({"methods": []}, "error: config key 'methods' must not be empty"),

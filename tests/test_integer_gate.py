@@ -31,6 +31,8 @@ GATED = [
      -1, "count must be >= 0, got -1"),
     ("chain.sample_document length", lambda v: chain.sample_document(MODEL, rng(), v),
      -1, "length must be >= 0, got -1"),
+    ("VocabPartition n_min", lambda v: chain.VocabPartition(("a", "b"), v),
+     3, "n_min must be in [0, 2], got 3"),
     ("TransitionModel.row state", lambda v: MODEL.row(v),
      4, "state must be in [0, 3], got 4"),
     ("TransitionModel.stored_row state", lambda v: MODEL.stored_row(v),

@@ -116,6 +116,11 @@ class TestMacroAverage:
         with pytest.raises(ValueError):
             metrics.macro_average([], {})
 
+    def test_category_without_frequency_is_one_line(self):
+        with pytest.raises(ValueError) as exc:
+            metrics.macro_average([row("a"), row("x")], {"a": 0.05})
+        assert str(exc.value) == "category 'x' has no training frequency"
+
 
 def test_write_rows_csv(tmp_path):
     rows = [

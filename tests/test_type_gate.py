@@ -1,0 +1,127 @@
+"""Every check that a value from outside has the right type goes through
+``vectorize.check_type``: config keys, corpus fields and token documents of
+the wrong type are refused with one ``ValueError`` line that names the value,
+says what it must be and gives the type it has. A new call site joins by
+adding a row to ``GATED``."""
+
+import argparse
+import json
+
+import numpy as np
+import pytest
+
+from emco import analysis, chain, cli, harness, vectorize
+from emco.corpus import load_corpus_jsonl
+from emco.vectorize import TfidfModel, check_type
+
+PARTITION = chain.VocabPartition(words=("a", "ef"), n_min=1)
+TFIDF = TfidfModel(vocabulary={"ab": 0}, idf=np.ones(1))
+
+
+def config(**values):
+    return lambda tmp_path: harness.ExperimentConfig(**{"corpus_path": "c.jsonl", **values})
+
+
+def corpus_line(obj):
+    """Load a corpus whose one line is ``obj`` as JSON, written to ``c.jsonl``."""
+    def call(tmp_path):
+        (tmp_path / "c.jsonl").write_text(json.dumps(obj) + "\n")
+        load_corpus_jsonl(tmp_path / "c.jsonl")
+    return call
+
+
+def fields(**values):
+    """A valid corpus line with ``values`` in place of its fields."""
+    return {"id": "1", "text": "x", "labels": [], "split": "train", **values}
+
+
+def config_file(content):
+    """Build the CLI's config from a config file holding ``content``."""
+    def call(tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(content))
+        cli._build_config(argparse.Namespace(config=str(tmp_path / "config.json")))
+    return call
+
+
+def ignore_path(call):
+    return lambda tmp_path: call()
+
+
+# (call site, call with a value of the wrong type given the test's tmp_path,
+# its message with {corpus} for the path of c.jsonl)
+GATED = [
+    ("ExperimentConfig list", config(methods="ros"),
+     "config key 'methods' must be a list, got str"),
+    ("ExperimentConfig string", config(corpus_path=5),
+     "config key 'corpus_path' must be a string, got int"),
+    ("ExperimentConfig stopwords_path", config(stopwords_path=["stop.txt"]),
+     "config key 'stopwords_path' must be a string, got list"),
+    ("ExperimentConfig integer", config(repetitions=2.0),
+     "config key 'repetitions' must be an integer, got float"),
+    ("ExperimentConfig number", config(c="1"),
+     "config key 'c' must be a number, got str"),
+    ("ExperimentConfig list of numbers", config(sampling_ratios=[0.2, None]),
+     "config key 'sampling_ratios' must be a list of numbers, got NoneType"),
+    ("load_corpus_jsonl line", corpus_line(["1", "x", [], "train"]),
+     "{corpus}:1: line must be a JSON object, got list"),
+    ("load_corpus_jsonl labels", corpus_line(fields(labels={})),
+     "{corpus}:1: labels must be a list, got dict"),
+    ("load_corpus_jsonl id", corpus_line(fields(id=False)),
+     "{corpus}:1: id must be a string or an integer, got bool"),
+    ("load_corpus_jsonl text", corpus_line(fields(text=3)),
+     "{corpus}:1: text must be a string, got int"),
+    ("load_corpus_jsonl label", corpus_line(fields(labels=["a", None])),
+     "{corpus}:1: labels must be a list of strings, got NoneType"),
+    ("cli config file", config_file([1, 2]),
+     "config file must be a JSON object, got list"),
+    ("estimate minority document", ignore_path(lambda: chain.estimate("ab", [], 1.0)),
+     "minority document must be a list of tokens, got str"),
+    ("estimate majority document", ignore_path(lambda: chain.estimate([["a"]], [["b"], "c"], 1.0)),
+     "majority document must be a list of tokens, got str"),
+    ("VocabPartition.from_corpora word", ignore_path(lambda: chain.estimate([["a", 1]], [], 1.0)),
+     "word must be a string, got int"),
+    ("growth_curve document", ignore_path(lambda: analysis.growth_curve("abc", 1)),
+     "document must be a list of tokens, got str"),
+    ("vocab_expansion_eval synthetic document",
+     ignore_path(lambda: analysis.vocab_expansion_eval(["ef"], PARTITION, [["ef"]])),
+     "synthetic document must be a list of tokens, got str"),
+    ("vocab_expansion_eval minority test document",
+     ignore_path(lambda: analysis.vocab_expansion_eval([["ef"]], PARTITION, [("ef",), {"ef"}])),
+     "minority test document must be a list of tokens, got set"),
+    ("transform_rows document",
+     ignore_path(lambda: vectorize.transform_rows(iter([("ab",), b"ab"]), TFIDF)),
+     "document must be a list of tokens, got bytes"),
+    ("transform_tokens tokens", ignore_path(lambda: vectorize.transform_tokens("ab", TFIDF)),
+     "document must be a list of tokens, got str"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [row[1:] for row in GATED], ids=[row[0] for row in GATED]
+)
+def test_wrong_type_is_one_line(tmp_path, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(tmp_path)
+    assert str(exc.value) == message.format(corpus=tmp_path / "c.jsonl")
+
+
+def test_documents_as_lists_and_tuples_pass():
+    model = chain.estimate([["a", "b"], ("b", "a")], [("b", "c"), []], 1.0)
+    assert model.partition.words == ("a", "b", "c")
+    assert len(analysis.growth_curve([("a",), ["b"]], 1)) == 2
+    assert vectorize.transform_tokens(["ab"], TFIDF).entries == ((0, 1.0),)
+
+
+@pytest.mark.parametrize("value, kinds, description", [
+    (True, int, "an integer"),
+    (False, (str, int), "a string or an integer"),
+])
+def test_check_type_never_passes_a_bool(value, kinds, description):
+    with pytest.raises(ValueError) as exc:
+        check_type(value, "x", kinds, description)
+    assert str(exc.value) == f"x must be {description}, got {type(value).__name__}"
+
+
+def test_check_type_passes_subclasses():
+    check_type(np.str_("a"), "x", str, "a string")
+    check_type(np.int64(3), "x", np.integer, "an integer")
