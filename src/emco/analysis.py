@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import VocabPartition
 from .metrics import ConfusionCounts, write_rows_csv
-from .vectorize import check_documents, check_integer
+from .vectorize import check_documents, check_integer, check_type
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,8 @@ def growth_curve(
     check_integer(step, "step", 1)
     docs = list(documents)
     check_documents(docs, "document")
+    if majority_vocab is not None:
+        check_type(majority_vocab, "majority_vocab", (set, frozenset), "a set of words")
     if shuffle_seed is not None:
         check_integer(shuffle_seed, "shuffle_seed")
         rng = np.random.default_rng(shuffle_seed)

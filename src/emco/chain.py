@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vectorize import check_documents, check_integer, check_real, check_type
+from .vectorize import check_documents, check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,10 @@ class VocabPartition:
         minority_docs: Sequence[Sequence[str]],
         majority_docs: Sequence[Sequence[str]],
     ) -> "VocabPartition":
+        check_documents(minority_docs, "minority document")
+        check_documents(majority_docs, "majority document")
         v_min = {w for doc in minority_docs for w in doc}
         v_maj_only = {w for doc in majority_docs for w in doc}.difference(v_min)
-        for words in (v_min, v_maj_only):
-            if not all(isinstance(w, str) for w in words):
-                for w in words:
-                    check_type(w, "word", str, "a string")
         v_min, v_maj_only = sorted(v_min), sorted(v_maj_only)
         return cls(words=tuple(v_min + v_maj_only), n_min=len(v_min))
 
@@ -169,13 +167,10 @@ def estimate(
     """Estimate the transition weight table for one oversampling task."""
     if not minority_docs:
         raise ValueError("minority document set is empty")
-    check_documents(minority_docs, "minority document")
-    check_documents(majority_docs, "majority document")
+    part = VocabPartition.from_corpora(minority_docs, majority_docs)  # checks the documents
     if not all(minority_docs):
         raise ValueError("minority documents must be nonempty")
     check_real(gamma, "gamma", ge=0)
-
-    part = VocabPartition.from_corpora(minority_docs, majority_docs)
     index = {w: i for i, w in enumerate(part.words)}
     n_min, stop = part.n_min, part.stop_index
 

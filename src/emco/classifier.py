@@ -67,6 +67,9 @@ def train(
     if n_features is not None:
         check_integer(n_features, "n_features")
     check_integer(seed, "seed")
+    if not {bool, np.bool_}.isdisjoint(map(type, labels)):
+        flag = next(label for label in labels if isinstance(label, (bool, np.bool_)))
+        raise ValueError(f"labels must be -1 or +1, got {flag}")
     y = np.array(labels, dtype=float)  # a contiguous copy, which the kernel reads
     wrong = (y != 1.0) & (y != -1.0)
     if wrong.any():

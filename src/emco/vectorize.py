@@ -192,10 +192,15 @@ def check_type(value, name: str, kinds: type | tuple, description: str) -> None:
 
 
 def check_documents(documents: Sequence, name: str) -> None:
-    """``check_type`` on each document: it must be a list or a tuple of tokens."""
-    if not all(isinstance(doc, (list, tuple)) for doc in documents):
+    """``check_type`` on each document and each token: a document must be a
+    list or a tuple, and a token a string. Each rule is one C-level pass."""
+    if not all(map(isinstance, documents, itertools.repeat((list, tuple)))):
         for doc in documents:
             check_type(doc, name, (list, tuple), "a list of tokens")
+    tokens = itertools.chain.from_iterable
+    if not all(map(isinstance, tokens(documents), itertools.repeat(str))):
+        for token in tokens(documents):
+            check_type(token, "word", str, "a string")
 
 
 def check_integer(value, name: str, low: int = 0, high: int | None = None) -> None:

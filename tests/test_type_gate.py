@@ -10,12 +10,13 @@ import json
 import numpy as np
 import pytest
 
-from emco import analysis, chain, cli, harness, vectorize
+from emco import analysis, chain, classifier, cli, harness, vectorize
 from emco.corpus import load_corpus_jsonl
 from emco.vectorize import TfidfModel, check_type
 
 PARTITION = chain.VocabPartition(words=("a", "ef"), n_min=1)
 TFIDF = TfidfModel(vocabulary={"ab": 0}, idf=np.ones(1))
+ROWS = vectorize.CsrRows.from_dense(np.eye(2))
 
 
 def config(**values):
@@ -93,6 +94,47 @@ GATED = [
      "document must be a list of tokens, got bytes"),
     ("transform_tokens tokens", ignore_path(lambda: vectorize.transform_tokens("ab", TFIDF)),
      "document must be a list of tokens, got str"),
+    ("estimate minority unhashable token",
+     ignore_path(lambda: chain.estimate([["a", ["b"]]], [], 1.0)),
+     "word must be a string, got list"),
+    ("estimate majority unhashable token",
+     ignore_path(lambda: chain.estimate([["a"]], [("b", {"c"})], 1.0)),
+     "word must be a string, got set"),
+    ("estimate majority int token", ignore_path(lambda: chain.estimate([["a"]], [["b", 2]], 1.0)),
+     "word must be a string, got int"),
+    ("transform_rows unhashable token",
+     ignore_path(lambda: vectorize.transform_rows([["ab", ["ab"]]], TFIDF)),
+     "word must be a string, got list"),
+    ("transform_rows int token", ignore_path(lambda: vectorize.transform_rows([["ab", 3]], TFIDF)),
+     "word must be a string, got int"),
+    ("growth_curve unhashable token",
+     ignore_path(lambda: analysis.growth_curve([["a"], [["b"]]], 1)),
+     "word must be a string, got list"),
+    ("growth_curve int token", ignore_path(lambda: analysis.growth_curve([[1, 2]], 1)),
+     "word must be a string, got int"),
+    ("growth_curve majority_vocab list",
+     ignore_path(lambda: analysis.growth_curve([["a"]], 1, majority_vocab=["a"])),
+     "majority_vocab must be a set of words, got list"),
+    ("growth_curve majority_vocab string",
+     ignore_path(lambda: analysis.growth_curve([["a"]], 1, majority_vocab="a")),
+     "majority_vocab must be a set of words, got str"),
+    ("vocab_expansion_eval synthetic unhashable token",
+     ignore_path(lambda: analysis.vocab_expansion_eval([["ef", ["ef"]]], PARTITION, [["ef"]])),
+     "word must be a string, got list"),
+    ("vocab_expansion_eval synthetic int token",
+     ignore_path(lambda: analysis.vocab_expansion_eval([[1]], PARTITION, [["ef"]])),
+     "word must be a string, got int"),
+    ("vocab_expansion_eval minority test unhashable token",
+     ignore_path(lambda: analysis.vocab_expansion_eval([["ef"]], PARTITION, [("ef", {"a": 1})])),
+     "word must be a string, got dict"),
+    ("vocab_expansion_eval minority test int token",
+     ignore_path(lambda: analysis.vocab_expansion_eval([["ef"]], PARTITION, [[0]])),
+     "word must be a string, got int"),
+    ("train bool label", ignore_path(lambda: classifier.train(ROWS, [True, -1])),
+     "labels must be -1 or +1, got True"),
+    ("train numpy bool labels",
+     ignore_path(lambda: classifier.train(ROWS, np.array([True, False]))),
+     "labels must be -1 or +1, got True"),
 ]
 
 
@@ -110,6 +152,11 @@ def test_documents_as_lists_and_tuples_pass():
     assert model.partition.words == ("a", "b", "c")
     assert len(analysis.growth_curve([("a",), ["b"]], 1)) == 2
     assert vectorize.transform_tokens(["ab"], TFIDF).entries == ((0, 1.0),)
+    # numpy strings are strings
+    model = chain.estimate([[np.str_("a"), "b"]], [(np.str_("c"),)], 1.0)
+    assert model.partition.words == ("a", "b", "c")
+    assert analysis.growth_curve([[np.str_("a"), "a"]], 1)[0].vocab_size == 1
+    assert vectorize.transform_tokens([np.str_("ab")], TFIDF).entries == ((0, 1.0),)
 
 
 @pytest.mark.parametrize("value, kinds, description", [
