@@ -9,23 +9,31 @@ starts and ends; rows for majority-only words fall back to the minority
 marginal word distribution. gamma=0 recovers plain Markov-chain oversampling
 confined to the minority vocabulary.
 
+Each corpus is mapped to state ids in one flat pass, and each adjacent pair
+(a, b) becomes the key ``a * (stop + 1) + b``. One sort of both corpora's
+keys orders them by source state, then target state, and gives each key's
+minority count m and majority count k; each state's row is one slice of the
+sorted keys. A weight is m, then gamma added k times, left to right, as a
+loop over the pairs would add it (``m + k * gamma`` rounds differently).
+
 Weights are stored unnormalized, one sparse row per state: a tuple of the
 sorted target states, an ``array("d")`` of their weights and one of the
-running sums, added left to right as ``np.cumsum`` adds them. A draw is
-``bisect_right(running sums, u * total)`` for one ``rng.random()`` u, clamped
-to the last target, so it picks the target that ``np.searchsorted(...,
-side="right")`` picks. Rows are built with no numpy call; ``indices`` and
-``weights`` are read as numpy arrays only for inspection.
+running sums, added left to right as ``np.cumsum`` adds them. A step reads
+one uniform u and picks ``bisect_right(running sums, u * total)``, clamped to
+the last target, so it picks the target that ``np.searchsorted(...,
+side="right")`` picks. A walk draws its uniforms in batches with
+``rng.random(n)``, which gives the floats and the generator state of n
+single draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -58,8 +66,8 @@ class VocabPartition:
     ) -> "VocabPartition":
         check_documents(minority_docs, "minority document")
         check_documents(majority_docs, "majority document")
-        v_min = {w for doc in minority_docs for w in doc}
-        v_maj_only = {w for doc in majority_docs for w in doc}.difference(v_min)
+        v_min = set(itertools.chain.from_iterable(minority_docs))
+        v_maj_only = set(itertools.chain.from_iterable(majority_docs)).difference(v_min)
         v_min, v_maj_only = sorted(v_min), sorted(v_maj_only)
         return cls(words=tuple(v_min + v_maj_only), n_min=len(v_min))
 
@@ -86,7 +94,7 @@ class _Row:
         self.targets = targets  # state indices, sorted
         self.weight_values = weights  # array("d"), aligned with targets
         # left to right, as np.cumsum adds, so the floats are the same
-        self.cumsum = array("d", accumulate(weights))
+        self.cumsum = array("d", itertools.accumulate(weights))
         self.total = self.cumsum[-1] if targets else 0.0
 
     @property
@@ -159,6 +167,46 @@ def _make_row(counts: dict[int, float]) -> _Row:
     return _Row(targets, array("d", map(counts.__getitem__, targets)))
 
 
+def _pair_keys(docs: Sequence[Sequence[str]], index: dict) -> np.ndarray:
+    """The key ``a * (stop + 1) + b`` of each adjacent pair of states (a, b) in
+    ``docs`` read as one sequence, with the stop state before each document
+    and after the last one; ``index`` maps each word to its state, and
+    ``None`` to the stop state."""
+    before_each = map(itertools.chain, itertools.repeat((None,)), docs)
+    tokens = itertools.chain(itertools.chain.from_iterable(before_each), (None,))
+    size = sum(map(len, docs)) + len(docs) + 1
+    ids = np.fromiter(map(index.__getitem__, tokens), np.intp, size)
+    keys = ids[:-1] * len(index)
+    keys += ids[1:]
+    return keys
+
+
+def _pair_counts(
+    minority_docs: Sequence[Sequence[str]],
+    majority_docs: Sequence[Sequence[str]],
+    index: dict,
+    n_min: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted distinct pair keys, and each key's count m in the minority
+    documents and k in the majority documents. Each minority document opens
+    and closes with the stop state, so the stop row counts the opening words
+    and each word occurrence starts one pair; a majority pair counts from a
+    minority word to a word."""
+    width = len(index)
+    stop = width - 1
+    minority = _pair_keys(minority_docs, index)
+    majority = _pair_keys(majority_docs, index)
+    majority = majority[(majority < n_min * width) & (majority % width != stop)]
+    # the low bit of a tagged key marks a majority pair
+    tagged, counts = np.unique(
+        np.concatenate((minority << 1, majority << 1 | 1)), return_counts=True
+    )
+    keys = tagged >> 1
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # of each distinct key
+    k = np.add.reduceat(counts * (tagged & 1), first)
+    return keys[first], np.add.reduceat(counts, first) - k, k
+
+
 def estimate(
     minority_docs: Sequence[Sequence[str]],
     majority_docs: Sequence[Sequence[str]],
@@ -171,35 +219,37 @@ def estimate(
     if not all(minority_docs):
         raise ValueError("minority documents must be nonempty")
     check_real(gamma, "gamma", ge=0)
-    index = {w: i for i, w in enumerate(part.words)}
     n_min, stop = part.n_min, part.stop_index
+    width = stop + 1
+    index = dict(zip((*part.words, None), range(width)))
 
-    # minority counts before gamma terms, in document order: fixed float sums.
-    # Each document opens and closes with the stop state; the opening pairs
-    # count in the extra row n_min; majority-only words start no minority pair.
-    # Each word occurrence starts one pair: a row's total is its word's count.
-    transitions: list[dict[int, float]] = [{} for _ in range(n_min + 1)]
-    for doc in minority_docs:
-        ids = [n_min, *map(index.__getitem__, doc), stop]
-        for a, b in zip(ids, ids[1:]):
-            row = transitions[a]
-            row[b] = row.get(b, 0) + 1
-    stop_row = _make_row(transitions.pop())
-    marginal_row = _make_row({i: sum(row.values()) for i, row in enumerate(transitions)})
+    keys, m, k = _pair_counts(minority_docs, majority_docs if gamma > 0 else [], index, n_min)
+    sources, targets = np.divmod(keys, width)
+    # a minority word's count is the number of minority pairs it starts
+    marginal = np.bincount(sources, weights=m, minlength=width)[:n_min]
 
-    if gamma > 0:
-        for doc in majority_docs:
-            ids = [index[w] for w in doc]
-            for a, b in zip(ids, ids[1:]):
-                if a < n_min:
-                    row = transitions[a]
-                    row[b] = row.get(b, 0) + gamma
+    # m, then gamma added k times, left to right, as a loop over the majority
+    # pairs adds it: m + k * gamma would round differently
+    weights = m.astype(float)
+    grow = np.flatnonzero(k)
+    with np.errstate(over="ignore"):  # an infinite row is refused below
+        for j in range(k.max()):
+            grow = grow[k[grow] > j]
+            weights[grow] += gamma
+    kept = sources != targets  # self-transitions are zeroed
+    # the keys are sorted, so each state's row is one slice of the kept pairs
+    bounds = np.searchsorted(sources[kept], range(width + 1)).tolist()
+    # one int object per state, as in the index, not one per pair
+    targets = np.arange(width, dtype=object)[targets[kept]].tolist()
+    weights = array("d", weights[kept].tobytes())
+    rows = [
+        _Row(tuple(targets[s:e]), weights[s:e]) if s < e else _EMPTY_ROW
+        for s, e in zip(bounds, bounds[1:])
+    ]
 
-    min_rows = {}
-    for i, row in enumerate(transitions):
-        row.pop(i, None)  # self-transitions are zeroed
-        min_rows[i] = _make_row(row)
-        if not math.isfinite(min_rows[i].total):
+    min_rows = dict(enumerate(rows[:n_min]))
+    for i, row in min_rows.items():
+        if not math.isfinite(row.total):
             raise ValueError(
                 f"gamma {gamma} overflows the transition weights of word "
                 f"{part.words[i]!r} to infinity"
@@ -210,8 +260,8 @@ def estimate(
         gamma=gamma,
         lengths=tuple(map(len, minority_docs)),
         min_rows=min_rows,
-        stop_row=stop_row,
-        marginal_row=marginal_row,
+        stop_row=rows[stop],
+        marginal_row=_Row(tuple(range(n_min)), array("d", marginal.tobytes())),
     )
 
 
@@ -223,7 +273,9 @@ def sample_document(
     """Generate one synthetic document as a random walk from the stop state.
 
     A drawn stop token is never emitted; it just resets the current state.
-    Emission continues until exactly ``length`` words have been produced.
+    Emission continues until exactly ``length`` words have been produced. Each
+    step emits at most one word, so a batch of ``length - len(out)`` uniforms
+    is never more than the walk takes.
     """
     if length is None:
         length = int(model.lengths[rng.integers(len(model.lengths))])
@@ -233,9 +285,12 @@ def sample_document(
     stop = current = model.partition.stop_index
     out: list[str] = []
     while len(out) < length:
-        current = rows[current].draw(rng)
-        if current != stop:
-            out.append(words[current])
+        for u in rng.random(length - len(out)).tolist():
+            row = rows[current]  # one step of _Row.draw, with the uniform u
+            pos = bisect_right(row.cumsum, u * row.total)
+            current = row.targets[pos] if pos < len(row.targets) else row.targets[-1]
+            if current != stop:
+                out.append(words[current])
     return out
 
 

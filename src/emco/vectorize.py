@@ -192,8 +192,11 @@ def check_type(value, name: str, kinds: type | tuple, description: str) -> None:
 
 
 def check_documents(documents: Sequence, name: str) -> None:
-    """``check_type`` on each document and each token: a document must be a
-    list or a tuple, and a token a string. Each rule is one C-level pass."""
+    """``check_type`` on the documents, each document and each token: the
+    documents and each document must be a list or a tuple, and a token a
+    string, so an iterator is refused before this check consumes it. Each rule
+    is one C-level pass."""
+    check_type(documents, f"{name}s", (list, tuple), "a list or a tuple")
     if not all(map(isinstance, documents, itertools.repeat((list, tuple)))):
         for doc in documents:
             check_type(doc, name, (list, tuple), "a list of tokens")

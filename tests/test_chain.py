@@ -376,6 +376,14 @@ class TestOnePassEstimate:
         assert by_word(model.marginal_row) == Counter(w for doc in minority for w in doc)
 
 
+def test_gamma_is_added_once_per_majority_pair():
+    # a -> b: counted once in the minority document, twice in the majority one
+    model = chain.estimate([["a", "b"]], [["a", "b", "a", "b"]], 0.1)
+    assert w(model, "a", "b") == 1.0 + 0.1 + 0.1 == 1.2000000000000002
+    assert 1.0 + 2 * 0.1 == 1.2  # which a product would have stored
+    assert w(model, "b", "a") == 0.1
+
+
 MINORITY_DOCS = st.lists(
     st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), min_size=1, max_size=5
 )
@@ -431,10 +439,11 @@ def reference_rows(model, state):
     return stored, stored if stored.total > 0 else model.marginal_row
 
 
-def reference_walk(model, rng):
+def reference_walk(model, rng, length=None):
     """``chain.sample_document`` with each step's row resolved by
-    ``reference_rows``."""
-    length = int(model.lengths[rng.integers(len(model.lengths))])
+    ``reference_rows`` and one ``rng.random()`` call per step."""
+    if length is None:
+        length = int(model.lengths[rng.integers(len(model.lengths))])
     stop = current = model.partition.stop_index
     out = []
     while len(out) < length:
@@ -454,12 +463,25 @@ class TestStateTable:
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
             want = [reference_walk(model, twin) for _ in range(20)]
             assert chain.oversample(model, 20, rng) == want
+            assert rng.random() == twin.random()  # no uniform drawn beyond the walk's
 
     @given(MINORITY_DOCS, MAJORITY_DOCS, st.sampled_from([0.0, 0.01, 1.0]),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60)
     def test_estimated_models_walk_as_the_reference(self, minority, majority, gamma, seed):
         self.assert_follows_the_rule(chain.estimate(minority, majority, gamma), [seed])
+
+    @given(MINORITY_DOCS, MAJORITY_DOCS, st.sampled_from([0.0, 1.0]),
+           st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 12), max_size=6))
+    @settings(max_examples=40)
+    def test_explicit_lengths_walk_as_the_reference(self, minority, majority, gamma, seed,
+                                                    lengths):
+        model = chain.estimate(minority, majority, gamma)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for length in [0, *lengths]:
+            got = chain.sample_document(model, rng, length=length)
+            assert got == reference_walk(model, twin, length) and len(got) == length
+        assert rng.random() == twin.random()
 
     def test_missing_and_zero_mass_rows_walk_as_the_reference(self):
         # 'b' has no row, 'c' a row of zero mass, and 'd' is majority-only

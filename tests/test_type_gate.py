@@ -75,8 +75,17 @@ GATED = [
      "{corpus}:1: labels must be a list of strings, got NoneType"),
     ("cli config file", config_file([1, 2]),
      "config file must be a JSON object, got list"),
-    ("estimate minority document", ignore_path(lambda: chain.estimate("ab", [], 1.0)),
+    ("estimate minority document", ignore_path(lambda: chain.estimate(["ab"], [], 1.0)),
      "minority document must be a list of tokens, got str"),
+    ("estimate minority documents", ignore_path(lambda: chain.estimate("ab", [], 1.0)),
+     "minority documents must be a list or a tuple, got str"),
+    # an iterator would be consumed by the check and then read as empty
+    ("estimate minority documents iterator",
+     ignore_path(lambda: chain.estimate(iter([["a", "b"]]), iter([["c"]]), 1.0)),
+     "minority documents must be a list or a tuple, got list_iterator"),
+    ("estimate majority documents iterator",
+     ignore_path(lambda: chain.estimate([["a", "b"]], iter([["c"]]), 1.0)),
+     "majority documents must be a list or a tuple, got list_iterator"),
     ("estimate majority document", ignore_path(lambda: chain.estimate([["a"]], [["b"], "c"], 1.0)),
      "majority document must be a list of tokens, got str"),
     ("VocabPartition.from_corpora word", ignore_path(lambda: chain.estimate([["a", 1]], [], 1.0)),
@@ -86,6 +95,14 @@ GATED = [
     ("vocab_expansion_eval synthetic document",
      ignore_path(lambda: analysis.vocab_expansion_eval(["ef"], PARTITION, [["ef"]])),
      "synthetic document must be a list of tokens, got str"),
+    ("vocab_expansion_eval synthetic documents iterator",
+     ignore_path(lambda: analysis.vocab_expansion_eval(iter([["ef"]]), PARTITION, [["ef"]])),
+     "synthetic documents must be a list or a tuple, got list_iterator"),
+    ("vocab_expansion_eval minority test documents generator",
+     ignore_path(lambda: analysis.vocab_expansion_eval(
+         [["ef"]], PARTITION, (doc for doc in [["ef"]])
+     )),
+     "minority test documents must be a list or a tuple, got generator"),
     ("vocab_expansion_eval minority test document",
      ignore_path(lambda: analysis.vocab_expansion_eval([["ef"]], PARTITION, [("ef",), {"ef"}])),
      "minority test document must be a list of tokens, got set"),
@@ -157,6 +174,15 @@ def test_documents_as_lists_and_tuples_pass():
     assert model.partition.words == ("a", "b", "c")
     assert analysis.growth_curve([[np.str_("a"), "a"]], 1)[0].vocab_size == 1
     assert vectorize.transform_tokens([np.str_("ab")], TFIDF).entries == ((0, 1.0),)
+
+
+def test_growth_curve_and_transform_rows_take_iterables():
+    # both make a list of their documents before they check it
+    assert analysis.growth_curve(iter([["a"], ["b", "a"]]), 1) == analysis.growth_curve(
+        [["a"], ["b", "a"]], 1
+    )
+    rows = vectorize.transform_rows((doc for doc in [["ab"], ["cd"]]), TFIDF)
+    assert (rows[0].entries, rows[1].entries) == (((0, 1.0),), ())
 
 
 @pytest.mark.parametrize("value, kinds, description", [
