@@ -21,12 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from emco.corpus import default_stopwords  # noqa: E402
-from emco.stemming import PorterStemmer  # noqa: E402
-
-OUT = Path(__file__).resolve().parent.parent / "src" / "emco" / "data" / "mini_corpus.jsonl"
+SRC = Path(__file__).resolve().parent.parent / "src"
+OUT = SRC / "emco" / "data" / "mini_corpus.jsonl"
 
 CONSONANTS = "bcdfgjklmnprtvz"
 VOWELS = "aeiou"
@@ -89,6 +85,12 @@ def compose_majority(rng, shared, topic, bridge, length):
 
 
 def main():
+    # Run as a script, this checkout's emco builds the corpus. An importer of
+    # make_words or WordCycle keeps its own sys.path and its own emco.
+    sys.path.insert(0, str(SRC))
+    from emco.corpus import default_stopwords
+    from emco.stemming import PorterStemmer
+
     rng = np.random.default_rng(20260826)
     stemmer = PorterStemmer()
     stopwords = default_stopwords()

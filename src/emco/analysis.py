@@ -7,6 +7,7 @@ points, which is closed-form and reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -75,23 +76,12 @@ def growth_curve(
     seen: set[str] = set()
     total = 0
     for start in range(0, len(docs), step):
-        new_words: set[str] = set()
-        for doc in docs[start : start + step]:
-            total += len(doc)
-            for word in doc:
-                if word not in seen:
-                    seen.add(word)
-                    new_words.add(word)
-        known = (
-            len(new_words & majority_vocab) if majority_vocab is not None else None
-        )
-        points.append(
-            GrowthPoint(
-                total_words=total,
-                vocab_size=len(seen),
-                new_words_known_in_majority=known,
-            )
-        )
+        chunk = docs[start : start + step]
+        total += sum(map(len, chunk))
+        new_words = set(itertools.chain.from_iterable(chunk)) - seen
+        seen |= new_words
+        known = len(new_words & majority_vocab) if majority_vocab is not None else None
+        points.append(GrowthPoint(total, len(seen), known))
     return points
 
 
@@ -122,26 +112,21 @@ def vocab_expansion_eval(
     """Score how well synthetic vocabulary growth predicts the true growth."""
     check_documents(synthetic_docs, "synthetic document")
     check_documents(minority_test_docs, "minority test document")
-    v_min = set(partition.v_min)
+    synthetic_vocab = set(itertools.chain.from_iterable(synthetic_docs))
     v_maj_only = set(partition.v_maj_only)
-    synthetic_vocab = {w for doc in synthetic_docs for w in doc}
-    test_vocab = {w for doc in minority_test_docs for w in doc}
-    new_words = len(synthetic_vocab - v_min)
-
-    counts = ConfusionCounts.from_predictions(
-        [int(word in test_vocab) for word in v_maj_only],
-        [int(word in synthetic_vocab) for word in v_maj_only],
-    )
-    tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
+    predicted = synthetic_vocab & v_maj_only
+    actual = v_maj_only.intersection(itertools.chain.from_iterable(minority_test_docs))
+    tp = len(predicted & actual)
+    fp, fn, tn = len(predicted) - tp, len(actual) - tp, len(v_maj_only - predicted - actual)
     recall = tp / (tp + fn) if tp + fn else None
     tnr = tn / (tn + fp) if tn + fp else None
     ba = (recall + tnr) / 2 if recall is not None and tnr is not None else None
     return VocabExpansionReport(
-        counts=counts,
+        counts=ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn),
         recall=recall,
         tnr=tnr,
         ba=ba,
-        new_synthetic_words=new_words,
+        new_synthetic_words=len(synthetic_vocab.difference(partition.v_min)),
         empty=not v_maj_only,
     )
 

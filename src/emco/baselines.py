@@ -70,9 +70,9 @@ class NeighborIndex:
         self.rows, self.n_features = points, n_features
         self.squared_norms = points.row_sums(points.data * points.data)
         # the transposed rows: row c holds the reference rows with an entry in
-        # column c. Their order within a column does not matter, as each Gram
-        # entry adds its products in the query's order.
-        by_column = np.argsort(points.indices)
+        # column c, in increasing order. Each Gram entry adds its products in
+        # the query's order, whatever that order.
+        by_column = np.argsort(points.indices, kind="stable")
         self._columns = CsrRows.from_entries(
             points.indices[by_column], points.entry_rows()[by_column], points.data[by_column],
             n_features,

@@ -8,6 +8,8 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .vectorize import check_integer
 
 VERY_LOW_BAND_THRESHOLD = 0.015  # training relative frequency below this
@@ -41,19 +43,11 @@ class ConfusionCounts:
     ) -> "ConfusionCounts":
         if len(y_true) != len(y_pred):
             raise ValueError("length mismatch")
-        tp = fp = tn = fn = 0
-        for truth, pred in zip(y_true, y_pred):
-            if truth == 1:
-                if pred == 1:
-                    tp += 1
-                else:
-                    fn += 1
-            else:
-                if pred == 1:
-                    fp += 1
-                else:
-                    tn += 1
-        return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+        truth, pred = np.asarray(y_true) == 1, np.asarray(y_pred) == 1
+        tp, n_true, n_pred = map(int, map(np.count_nonzero, (truth & pred, truth, pred)))
+        return ConfusionCounts(
+            tp=tp, fp=n_pred - tp, tn=len(truth) - n_true - n_pred + tp, fn=n_true - tp
+        )
 
 
 def fbeta(precision: float, recall: float, beta: float) -> float:

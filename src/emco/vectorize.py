@@ -50,10 +50,11 @@ class SparseVector:
 @dataclass(frozen=True, eq=False)
 class CsrRows:
     """Rows in compressed sparse row form: row r holds the columns
-    ``indices[indptr[r]:indptr[r + 1]]`` with the values of ``data`` at the
-    same positions. ``len()`` is the row count, and ``rows[r]`` is row r as a
-    ``SparseVector``. The arrays are ``np.intp``, ``np.intp`` and float64 and
-    contiguous, so the compiled solver reads them as they are."""
+    ``indices[indptr[r]:indptr[r + 1]]``, nonnegative and strictly increasing,
+    with the values of ``data`` at the same positions. ``len()`` is the row
+    count, and ``rows[r]`` is row r as a ``SparseVector``. The arrays are
+    ``np.intp``, ``np.intp`` and float64 and contiguous, so the compiled
+    solver reads them as they are."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -71,6 +72,15 @@ class CsrRows:
             raise ValueError("CSR indptr must rise from 0 to the number of entries")
         for name, dtype in (("indptr", np.intp), ("indices", np.intp), ("data", float)):
             object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype))
+        indptr, indices = self.indptr, self.indices
+        starts = indptr[:-1][indptr[:-1] < indptr[1:]]  # the first entry of each row that has one
+        rising = indices[1:] > indices[:-1]
+        rising[starts[1:] - 1] = True  # a row may start lower than the row before it ends
+        if not rising.all():
+            raise ValueError("entries must be sorted by strictly increasing index")
+        firsts = indices[starts]  # each row's least column, as the columns rise
+        if (firsts < 0).any():
+            raise ValueError(f"entries must have nonnegative indices, got {firsts[firsts < 0][0]}")
 
     @staticmethod
     def from_entries(rows: np.ndarray, indices, data, n_rows: int) -> "CsrRows":
@@ -89,7 +99,7 @@ class CsrRows:
         return len(self.indptr) - 1
 
     def __getitem__(self, row: int) -> SparseVector:
-        if not isinstance(row, (int, np.integer)):
+        if isinstance(row, bool) or not isinstance(row, (int, np.integer)):
             raise TypeError(
                 f"CsrRows index must be an integer, got {type(row).__name__}; take() selects rows"
             )

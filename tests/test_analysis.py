@@ -4,8 +4,65 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from emco import analysis, chain
+from emco.metrics import ConfusionCounts
+
+WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+DOCS = st.lists(st.lists(WORDS, max_size=6), max_size=10)
+
+
+def reference_growth_curve(documents, step, majority_vocab=None, shuffle_seed=None):
+    """The word-by-word loop that ``growth_curve`` replaced."""
+    docs = list(documents)
+    if shuffle_seed is not None:
+        rng = np.random.default_rng(shuffle_seed)
+        docs = [docs[i] for i in rng.permutation(len(docs))]
+    points = []
+    seen = set()
+    total = 0
+    for start in range(0, len(docs), step):
+        new_words = set()
+        for doc in docs[start : start + step]:
+            total += len(doc)
+            for word in doc:
+                if word not in seen:
+                    seen.add(word)
+                    new_words.add(word)
+        known = len(new_words & majority_vocab) if majority_vocab is not None else None
+        points.append(analysis.GrowthPoint(total, len(seen), known))
+    return points
+
+
+def reference_vocab_expansion_eval(synthetic_docs, partition, minority_test_docs):
+    """The word-by-word count over V_maj-only that ``vocab_expansion_eval``
+    replaced."""
+    synthetic_vocab = {w for doc in synthetic_docs for w in doc}
+    test_vocab = {w for doc in minority_test_docs for w in doc}
+    tp = fp = tn = fn = 0
+    for word in partition.v_maj_only:
+        if word in test_vocab:
+            if word in synthetic_vocab:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if word in synthetic_vocab:
+                fp += 1
+            else:
+                tn += 1
+    recall = tp / (tp + fn) if tp + fn else None
+    tnr = tn / (tn + fp) if tn + fp else None
+    ba = (recall + tnr) / 2 if recall is not None and tnr is not None else None
+    return analysis.VocabExpansionReport(
+        counts=ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn),
+        recall=recall,
+        tnr=tnr,
+        ba=ba,
+        new_synthetic_words=len(synthetic_vocab - set(partition.v_min)),
+        empty=not partition.v_maj_only,
+    )
 
 
 class TestGrowthCurve:
@@ -51,6 +108,13 @@ class TestGrowthCurve:
             assert cur.total_words > prev.total_words
             assert cur.vocab_size >= prev.vocab_size
             assert cur.vocab_size <= cur.total_words
+
+
+    @given(DOCS, st.integers(1, 4), st.none() | st.frozensets(WORDS) | st.sets(WORDS),
+           st.none() | st.integers(0, 2**32))
+    def test_counts_as_the_word_loop(self, docs, step, majority_vocab, shuffle_seed):
+        got = analysis.growth_curve(docs, step, majority_vocab, shuffle_seed)
+        assert repr(got) == repr(reference_growth_curve(docs, step, majority_vocab, shuffle_seed))
 
 
 class TestFitHeaps:
@@ -139,6 +203,16 @@ class TestVocabExpansionEval:
         report = analysis.vocab_expansion_eval([["a"]], part, [["a"]])
         assert report.empty
         assert report.counts.total == 0
+
+
+    @given(DOCS, DOCS, st.lists(st.lists(WORDS | st.just("z"), max_size=6), max_size=6), DOCS)
+    @example([["a"]], [["a", "b"]], [], [["b"]])  # no synthetic documents
+    @example([["a"]], [["a", "b"]], [["b", "z"]], [])  # no test documents
+    @example([["a", "b"]], [["a"]], [["a", "z"]], [["b"]])  # V_maj-only is empty
+    def test_counts_as_the_word_loop(self, minority, majority, synthetic, test):
+        partition = chain.VocabPartition.from_corpora(minority, majority)
+        got = analysis.vocab_expansion_eval(synthetic, partition, test)
+        assert repr(got) == repr(reference_vocab_expansion_eval(synthetic, partition, test))
 
 
 def test_write_curve_csv(tmp_path):

@@ -151,8 +151,8 @@ class TestTrain:
         assert from_rows.dual_objective_history == from_list.dual_objective_history
 
     @pytest.mark.parametrize("rows, labels, message", [
-        (CsrRows([0, 1, 2], [0, -1], [1.0, 1.0]), [1, -1],
-         "feature index -1 is out of range for 2 features"),
+        (CsrRows([0, 1, 2], [5, 0], [1.0, 1.0]), [1, -1],
+         "feature index 5 is out of range for 2 features"),
         (CsrRows([0, 1, 2], [0, 2], [1.0, 1.0]), [1, -1],
          "feature index 2 is out of range for 2 features"),
         (CsrRows([0, 1, 2], [0, 1], [1.0, np.inf]), [1, -1], "feature values must be finite, got inf"),

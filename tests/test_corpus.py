@@ -1,4 +1,7 @@
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -289,3 +292,13 @@ class TestUndecodableInput:
         rc, err = self.prep(capsys, "--corpus", mini_path, "--stopwords", "")
         assert rc == 1
         assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+def test_importing_the_corpus_script_leaves_sys_path_alone():
+    # benchmark/corpusgen.py imports the script's word generator; the importer's
+    # own sys.path, not the script's checkout, decides which emco it runs
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_mini_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_mini_corpus", script)
+    before = list(sys.path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert sys.path == before

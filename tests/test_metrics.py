@@ -1,10 +1,30 @@
 import csv
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from emco import metrics
 from emco.metrics import ConfusionCounts
+
+CONTAINERS = st.sampled_from([list, tuple, np.array, lambda v: np.array(v, dtype=float)])
+
+
+def reference_from_predictions(y_true, y_pred):
+    """The label-by-label loop that ``from_predictions`` replaced."""
+    tp = fp = tn = fn = 0
+    for truth, pred in zip(y_true, y_pred):
+        if truth == 1:
+            if pred == 1:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if pred == 1:
+                fp += 1
+            else:
+                tn += 1
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 class TestConfusionCounts:
@@ -18,6 +38,19 @@ class TestConfusionCounts:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ConfusionCounts.from_predictions([1], [1, -1])
+
+    @given(st.data(), st.sampled_from([(-1, 1), (0, 1)]), CONTAINERS, CONTAINERS)
+    def test_counts_as_the_label_loop(self, data, labels, wrap_true, wrap_pred):
+        y_true = data.draw(st.lists(st.sampled_from(labels), max_size=30))
+        y_pred = data.draw(st.lists(st.sampled_from(labels), min_size=len(y_true), max_size=len(y_true)))
+        got = ConfusionCounts.from_predictions(wrap_true(y_true), wrap_pred(y_pred))
+        assert repr(got) == repr(reference_from_predictions(y_true, y_pred))
+
+    @given(st.lists(st.sampled_from([-1, 1])), st.lists(st.sampled_from([-1, 1])), CONTAINERS, CONTAINERS)
+    def test_length_mismatch_for_every_container(self, y_true, y_pred, wrap_true, wrap_pred):
+        assume(len(y_true) != len(y_pred))
+        with pytest.raises(ValueError, match="^length mismatch$"):
+            ConfusionCounts.from_predictions(wrap_true(y_true), wrap_pred(y_pred))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,7 @@ class TestCsrRows:
 
     @pytest.mark.parametrize("row, name", [
         (slice(None, 1), "slice"), (1.0, "float"), ([0, 1], "list"), (np.array([0]), "ndarray"),
+        (True, "bool"), (np.True_, "bool"),
     ])
     def test_non_integer_row_rejected_with_a_pointer_to_take(self, row, name):
         message = f"CsrRows index must be an integer, got {name}; take() selects rows"
@@ -198,6 +199,47 @@ class TestCsrRows:
     def test_non_integer_indices_rejected(self):
         with pytest.raises(ValueError, match="feature indices must be integers, got float64"):
             vectorize.CsrRows([0, 1], [0.5], [1.0])
+
+    @pytest.mark.parametrize("indptr, indices, message", [
+        ([0, 2, 3], [1, 1, 0], "entries must be sorted by strictly increasing index"),
+        ([0, 2], [2, 1], "entries must be sorted by strictly increasing index"),
+        ([0, 1, 3], [0, 2, 1], "entries must be sorted by strictly increasing index"),
+        ([0, 2], np.array([2, 1], dtype=np.uint8), "entries must be sorted by strictly increasing index"),
+        ([0, 1, 2], [0, -1], "entries must have nonnegative indices, got -1"),
+        ([0, 1, 3], [4, -2, 0], "entries must have nonnegative indices, got -2"),
+    ])
+    def test_repeated_falling_and_negative_columns_rejected(self, indptr, indices, message):
+        # SparseVector's rule and messages: before this check, to_dense, the
+        # neighbor search and the solver each read such a row differently
+        with pytest.raises(ValueError) as exc:
+            vectorize.CsrRows(indptr, indices, np.ones(len(indices)))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("indptr, indices, want", [
+        ([0, 2, 3], [1, 4, 0], [((1, 1.0), (4, 1.0)), ((0, 1.0),)]),  # a row starts lower
+        ([0, 0, 2, 2, 3, 3], [1, 4, 0], [(), ((1, 1.0), (4, 1.0)), (), ((0, 1.0),), ()]),
+        ([0, 0, 0], [], [(), ()]),
+    ])
+    def test_a_row_may_start_lower_and_rows_may_be_empty(self, indptr, indices, want):
+        rows = vectorize.CsrRows(indptr, indices, np.ones(len(indices)))
+        assert [v.entries for v in rows] == want
+
+    @given(st.lists(st.lists(st.integers(-2, 5), max_size=4), max_size=5))
+    def test_rows_follow_the_rule_of_a_sparse_vector(self, per_row):
+        messages = []
+        for columns in per_row:
+            try:
+                vectorize.SparseVector(tuple((c, 1.0) for c in columns))
+            except ValueError as exc:
+                messages.append(str(exc))
+        args = (np.cumsum([0, *map(len, per_row)]), [c for row in per_row for c in row],
+                np.ones(sum(map(len, per_row))))
+        if not messages:
+            assert [len(v.entries) for v in vectorize.CsrRows(*args)] == list(map(len, per_row))
+        else:
+            with pytest.raises(ValueError) as exc:
+                vectorize.CsrRows(*args)
+            assert str(exc.value) in messages
 
     @given(st.lists(st.lists(
         st.sampled_from([1e308, -1e308, 1.7e308, 1e-308, 5e-324])
