@@ -44,6 +44,10 @@ class ConfusionCounts:
         if len(y_true) != len(y_pred):
             raise ValueError("length mismatch")
         truth, pred = np.asarray(y_true) == 1, np.asarray(y_pred) == 1
+        if truth.ndim != 1 or pred.ndim != 1:
+            raise ValueError(
+                f"labels must be one-dimensional, got shapes {truth.shape} and {pred.shape}"
+            )
         tp, n_true, n_pred = map(int, map(np.count_nonzero, (truth & pred, truth, pred)))
         return ConfusionCounts(
             tp=tp, fp=n_pred - tp, tn=len(truth) - n_true - n_pred + tp, fn=n_true - tp

@@ -28,14 +28,10 @@ class SparseVector:
     entries: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        indices = [i for i, _ in self.entries]
-        if indices != sorted(set(indices)):
-            raise ValueError("entries must be sorted by strictly increasing index")
-        if indices and indices[0] < 0:
-            raise ValueError(f"entries must have nonnegative indices, got {indices[0]}")
-        if not {bool, np.bool_}.isdisjoint(map(type, indices)):
+        # numpy makes [0, True] an int64 array, so CsrRows cannot see the bool
+        if not {bool, np.bool_}.isdisjoint(type(i) for i, _ in self.entries):
             raise ValueError("entries must have integer indices, got a bool")
-        if any(v == 0.0 for _, v in self.entries):
+        if (to_csr([self]).data == 0.0).any():  # CsrRows holds the row rule
             raise ValueError("entries must be nonzero")
 
     def to_dense(self, dim: int) -> np.ndarray:
@@ -245,8 +241,9 @@ def check_real(value, name: str, ge=None, gt=None, lt=None) -> None:
 
 
 def check_columns(indices: np.ndarray, n_features: int) -> None:
-    """Raise a one-line ``ValueError`` at the first index outside [0, ``n_features``)."""
-    outside = indices[(indices < 0) | (indices >= n_features)]
+    """Raise a one-line ``ValueError`` at the first of the ``CsrRows`` columns
+    ``indices``, never negative, that is not below ``n_features``."""
+    outside = indices[indices >= n_features]
     if len(outside):
         raise ValueError(f"feature index {outside[0]} is out of range for {n_features} features")
 
@@ -254,6 +251,7 @@ def check_columns(indices: np.ndarray, n_features: int) -> None:
 def to_dense(vectors: Sequence[SparseVector] | CsrRows, n_features: int) -> np.ndarray:
     """One zero row per vector, set at its entries; an index >= ``n_features``
     raises ``IndexError``."""
+    check_integer(n_features, "n_features")
     rows = to_csr(vectors)
     out = np.zeros((len(rows), n_features))
     out[rows.entry_rows(), rows.indices] = rows.data

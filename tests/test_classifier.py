@@ -134,9 +134,8 @@ class TestTrain:
 
     def test_non_integer_index_rejected(self):
         # to_csr once cast the index 0.5 to column 0
-        vectors = [SparseVector(((0.5, 1.0),)), sv(-1.0)]
         with pytest.raises(ValueError, match="feature indices must be integers"):
-            classifier.train(vectors, [1, -1])
+            classifier.train([SparseVector(((0.5, 1.0),)), sv(-1.0)], [1, -1])
 
     @pytest.mark.parametrize("solver", ["compiled", "python"])
     def test_csr_rows_train_as_their_vector_list(self, request, solver):

@@ -676,6 +676,73 @@ def test_quick_start_outputs_are_pinned(tmp_path, capsys):
     assert digests == QUICK_START_DIGESTS
 
 
+# The benchmark's generated-corpus outputs: the scaled-run results.csv and the
+# vocab-sweep fingerprint, as benchmark/run.py's units compute them.
+SCALED_RUN_RESULTS = "f75988716c1b69c449e4cc71d7de83688f05afcc9e64b8c8c8b94842b657aa33"
+VOCAB_SWEEP_FINGERPRINT = "fb26840d77666a37e4cdd1bd177925d965ae44a68fdcb0003b6e7eaa577b9a37"
+# results.csv and aggregate.json of test_acceptance's test_11 matrix.
+DETERMINISM_DIGESTS = {
+    "results.csv": "3754bee9df2b64808779d29c1350984bc2d157527e7db1d6bdf8f0791b95ed14",
+    "aggregate.json": "6e6f0f906b85a42bf1a0327b749615f0138606e8d6abafba24c16b3b4a9f80bb",
+}
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``benchmark/corpusgen.py`` and ``benchmark/run.py``, imported as
+    ``benchmark/tests`` imports them; ``sys.path`` is put back afterwards,
+    since ``corpusgen`` puts ``scripts/`` on it."""
+    saved = sys.path[:]
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+    try:
+        import corpusgen
+        import run
+    finally:
+        sys.path[:] = saved
+    return corpusgen, run
+
+
+def generated_corpus(bench, tmp_path, name):
+    """The benchmark workload ``name`` and the path of its generated corpus."""
+    corpusgen, run = bench
+    workload = run.WORKLOADS[name]
+    path = tmp_path / "corpus.jsonl"
+    corpusgen.write_jsonl(corpusgen.generate(workload.seed), path)
+    return workload, path
+
+
+@pytest.mark.parametrize("solver", ["compiled", "python"])
+def test_scaled_run_results_are_pinned(request, tmp_path, bench, solver):
+    if solver == "python":
+        request.getfixturevalue("python_loop")
+    workload, path = generated_corpus(bench, tmp_path, "scaled-run")
+    assert bench[1].RunBench(workload, path, tmp_path).unit().fingerprint == SCALED_RUN_RESULTS
+
+
+def test_vocab_sweep_outputs_are_pinned(tmp_path, bench):
+    # no classifier trains here, so the solver path does not reach these bytes
+    workload, path = generated_corpus(bench, tmp_path, "vocab-sweep")
+    assert bench[1].VocabBench(path, workload.seed).unit().fingerprint == VOCAB_SWEEP_FINGERPRINT
+
+
+@pytest.mark.parametrize("solver", ["compiled", "python"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_determinism_matrix_outputs_are_pinned(request, tmp_path, solver, workers):
+    if solver == "python":
+        request.getfixturevalue("python_loop")
+    harness.run(harness.ExperimentConfig(
+        corpus_path=str(mini_corpus_path()),
+        output_dir=str(tmp_path),
+        methods=("none", "ros", "smote", "adasyn", "mco", "emco"),
+        gammas=(0.1, 1.0),
+        sampling_ratios=(0.1, 0.2),
+        repetitions=2,
+        master_seed=5,
+        workers=workers,
+    ))
+    assert output_digests(tmp_path) == DETERMINISM_DIGESTS
+
+
 def test_import_and_prepare_load_neither_multiprocessing_nor_solver():
     # multiprocessing costs about 8 ms of import time; only running jobs
     # and the workers > 1 check need it. Nor may set-up build or load the

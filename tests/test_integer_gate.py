@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from emco import analysis, baselines, chain, classifier, harness, metrics
-from emco.vectorize import CsrRows
+from emco.vectorize import CsrRows, to_dense
 
 MODEL = chain.estimate([["a", "b"], ["b", "a"]], [["b", "c", "a"]], 1.0)  # stop index 3
 ROWS = CsrRows.from_dense(np.eye(4))
@@ -65,6 +65,10 @@ GATED = [
      -1, "k must be >= 0, got -1"),
     ("NeighborIndex.query exclude", lambda v: INDEX.query(np.ones(4), 2, exclude=v),
      4, "exclude must be in [-4, 3], got 4"),
+    ("to_dense n_features", lambda v: to_dense(ROWS, v),
+     -1, "n_features must be >= 0, got -1"),
+    ("SparseVector.to_dense dim", lambda v: ROWS[0].to_dense(v),
+     -1, "n_features must be >= 0, got -1"),
     ("largest_remainder total", lambda v: baselines.largest_remainder(np.ones(3), v),
      -1, "total must be >= 0, got -1"),
     ("growth_curve step", lambda v: analysis.growth_curve([["a"]], v),

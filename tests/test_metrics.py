@@ -39,6 +39,16 @@ class TestConfusionCounts:
         with pytest.raises(ValueError):
             ConfusionCounts.from_predictions([1], [1, -1])
 
+    @pytest.mark.parametrize("y_true, y_pred, shapes", [
+        ([[1, 1]], [[1, -1]], "(1, 2) and (1, 2)"),
+        (np.ones((2, 2)), -np.ones((2, 2)), "(2, 2) and (2, 2)"),
+        (np.ones((2, 1)), [1, -1], "(2, 1) and (2,)"),
+    ])
+    def test_labels_that_are_not_one_dimensional_rejected(self, y_true, y_pred, shapes):
+        with pytest.raises(ValueError) as exc:
+            ConfusionCounts.from_predictions(y_true, y_pred)
+        assert str(exc.value) == f"labels must be one-dimensional, got shapes {shapes}"
+
     @given(st.data(), st.sampled_from([(-1, 1), (0, 1)]), CONTAINERS, CONTAINERS)
     def test_counts_as_the_label_loop(self, data, labels, wrap_true, wrap_pred):
         y_true = data.draw(st.lists(st.sampled_from(labels), max_size=30))

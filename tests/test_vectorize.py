@@ -209,8 +209,8 @@ class TestCsrRows:
         ([0, 1, 3], [4, -2, 0], "entries must have nonnegative indices, got -2"),
     ])
     def test_repeated_falling_and_negative_columns_rejected(self, indptr, indices, message):
-        # SparseVector's rule and messages: before this check, to_dense, the
-        # neighbor search and the solver each read such a row differently
+        # the row rule, which SparseVector takes from here: before this check,
+        # to_dense, the neighbor search and the solver each read such a row differently
         with pytest.raises(ValueError) as exc:
             vectorize.CsrRows(indptr, indices, np.ones(len(indices)))
         assert str(exc.value) == message
@@ -307,9 +307,9 @@ class TestSparseVector:
 
     @pytest.mark.parametrize("entries", [[((0.5, 1.0),)], [((0, 1.0),), ((1.0, 2.0),)]])
     def test_to_csr_rejects_non_integer_indices(self, entries):
-        vectors = [vectorize.SparseVector(e) for e in entries]
+        # refused as the vector is built, by the CsrRows check that to_csr makes
         with pytest.raises(ValueError, match="feature indices must be integers, got"):
-            vectorize.to_csr(vectors)
+            vectorize.to_csr([vectorize.SparseVector(e) for e in entries])
 
     @given(
         st.lists(
