@@ -1,14 +1,21 @@
-/* The epoch loop of classifier.train in C: dual coordinate descent for the
- * L1-loss linear SVM, with the bias as a separate variable. Its statements
- * are those of classifier._python_epochs, in the same order, and every sum
- * runs left to right, so both give the same bytes when this file is built
- * without contraction (-ffp-contract=off) and without -ffast-math.
+/* The compiled loops of emco, loaded with ctypes by classifier.load_kernel:
  *
- * dcd_epoch is the only entry point: one call per epoch, which also gives
- * the epoch's dual value. Row i is indices/data[indptr[i] .. indptr[i + 1]),
- * read as they come from vectorize.to_csr: C-contiguous np.intp (ptrdiff_t)
- * and float64 arrays. The caller checks that every index is in
- * [0, n_features), every value is finite and every order entry in [0, n).
+ * - dcd_epoch, the epoch loop of classifier.train: dual coordinate descent
+ *   for the L1-loss linear SVM, with the bias as a separate variable;
+ * - row_cumsum and chain_walk, the running sums of a chain's transition table
+ *   and the random walk over it (chain.py).
+ *
+ * Each keeps the statements of its Python twin (classifier._python_epochs,
+ * chain._running_sums and chain._walk), in the same order, and every sum runs
+ * left to right, so both give the same bytes when this file is built without
+ * contraction (-ffp-contract=off) and without -ffast-math. Index arrays are
+ * C-contiguous np.intp (ptrdiff_t), values float64; the callers check every
+ * index before a call.
+ *
+ * dcd_epoch runs one epoch per call, which also gives the epoch's dual value.
+ * Row i is indices/data[indptr[i] .. indptr[i + 1]), read as they come from
+ * vectorize.to_csr. The caller checks that every index is in [0, n_features),
+ * every value is finite and every order entry in [0, n).
  */
 #include <stddef.h>
 
@@ -68,4 +75,57 @@ double dcd_epoch(const ptrdiff_t *indptr, const ptrdiff_t *indices,
         alpha_sum += alpha[i];
     *dual = 0.5 * (w_sq + b * b) - alpha_sum;
     return max_violation;
+}
+
+/* The running sums of each row r of weights[indptr[r] .. indptr[r + 1]),
+ * written to cumsum at the same positions. Each row starts from its first
+ * weight and adds the others left to right, as itertools.accumulate does. */
+void row_cumsum(const ptrdiff_t *indptr, const double *weights, ptrdiff_t n_rows,
+                double *cumsum)
+{
+    for (ptrdiff_t r = 0; r < n_rows; r++) {
+        ptrdiff_t start = indptr[r], end = indptr[r + 1];
+        if (start == end)
+            continue;
+        double s = weights[start];
+        cumsum[start] = s;
+        for (ptrdiff_t j = start + 1; j < end; j++) {
+            s += weights[j];
+            cumsum[j] = s;
+        }
+    }
+}
+
+/* One walk from the stop state until `length` states other than the stop
+ * state have been written to out. In state s, the step samples row
+ * r = sampling[s]: it draws u = next_double(bitgen_state), takes the
+ * position bisect_right would give for u * total[r] among the running sums
+ * cumsum[indptr[r] .. indptr[r + 1]), clamped to the row's last entry, and
+ * moves to the target there. Every sampled row is nonempty and every target
+ * in [0, stop]. next_double and bitgen_state are those of a numpy
+ * Generator's bit_generator.ctypes, so each step takes the uniform that
+ * Generator.random would give next. */
+void chain_walk(const ptrdiff_t *indptr, const ptrdiff_t *targets, const double *cumsum,
+                const double *total, const ptrdiff_t *sampling, ptrdiff_t stop,
+                ptrdiff_t length, double (*next_double)(void *), void *bitgen_state,
+                ptrdiff_t *out)
+{
+    ptrdiff_t current = stop;
+    ptrdiff_t written = 0;
+    while (written < length) {
+        ptrdiff_t r = sampling[current];
+        ptrdiff_t lo = indptr[r], hi = indptr[r + 1];
+        double x = next_double(bitgen_state) * total[r];
+        ptrdiff_t end = hi;
+        while (lo < hi) { /* bisect_right */
+            ptrdiff_t mid = lo + (hi - lo) / 2;
+            if (x < cumsum[mid])
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        current = targets[lo < end ? lo : end - 1];
+        if (current != stop)
+            out[written++] = current;
+    }
 }

@@ -16,29 +16,44 @@ minority count m and majority count k; each state's row is one slice of the
 sorted keys. A weight is m, then gamma added k times, left to right, as a
 loop over the pairs would add it (``m + k * gamma`` rounds differently).
 
-Weights are stored unnormalized, one sparse row per state: a tuple of the
-sorted target states, an ``array("d")`` of their weights and one of the
-running sums, added left to right as ``np.cumsum`` adds them. A step reads
-one uniform u and picks ``bisect_right(running sums, u * total)``, clamped to
-the last target, so it picks the target that ``np.searchsorted(...,
-side="right")`` picks. A walk draws its uniforms in batches with
-``rng.random(n)``, which gives the floats and the generator state of n
-single draws.
+A model's weights are stored unnormalized in one flat table, written
+straight from the sorted pair keys. Row r is state r's row for r up to the
+stop state, and the minority marginal row comes last: its targets are
+``targets[indptr[r]:indptr[r + 1]]``, sorted, with their weights at the same
+positions in ``weights``, their running sums in ``cumsum`` and the last sum in
+``total[r]`` (0 for an empty row). Each row's running sums start from its
+first weight and add the others left to right, as ``itertools.accumulate``
+adds them: the kernel's ``row_cumsum`` adds them so, and where no kernel
+loads, ``accumulate`` itself. A ``_Row``, a row as Python sequences, is built
+only when a caller asks for one.
+
+In state s the walk samples row ``sampling[s]``: the state's own row, or the
+marginal row where that has no mass (a majority-only word's own row is
+empty). A step reads one uniform u and picks ``bisect_right(cumsum, u *
+total, lo, hi)`` over the row, clamped to its last target, which is the
+target that ``np.searchsorted(..., side="right")`` picks. Where the kernel
+loads, ``chain_walk`` walks in C and draws each step's uniform through the
+Generator's ``bit_generator.ctypes`` interface; elsewhere Python walks the
+same table and draws its uniforms in batches with ``rng.random(n)``. Both
+give the floats and the generator state of one ``rng.random()`` per step, so
+both walk the same documents.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .vectorize import check_documents, check_integer, check_real
+from . import classifier
+from .vectorize import check_documents, check_integer, check_real, check_type
 
 
 @dataclass(frozen=True)
@@ -93,7 +108,7 @@ class _Row:
     def __init__(self, targets: tuple[int, ...], weights: array):
         self.targets = targets  # state indices, sorted
         self.weight_values = weights  # array("d"), aligned with targets
-        # left to right, as np.cumsum adds, so the floats are the same
+        # left to right, as the table adds them, so the floats are the same
         self.cumsum = array("d", itertools.accumulate(weights))
         self.total = self.cumsum[-1] if targets else 0.0
 
@@ -114,29 +129,139 @@ class _Row:
 _EMPTY_ROW = _Row((), array("d"))
 
 
+def _running_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The running sums of each row of ``weights``, by the kernel's
+    ``row_cumsum`` where it loads, else by ``itertools.accumulate``."""
+    kernel = classifier.load_kernel()
+    if kernel is None:
+        values, bounds = weights.tolist(), indptr.tolist()
+        rows = (itertools.accumulate(values[s:e]) for s, e in zip(bounds, bounds[1:]))
+        return np.fromiter(itertools.chain.from_iterable(rows), float, len(values))
+    cumsum = np.empty_like(weights)
+    kernel.row_cumsum(indptr.ctypes.data, weights.ctypes.data, len(indptr) - 1, cumsum.ctypes.data)
+    return cumsum
+
+
+class _Table:
+    """A model's rows as flat arrays, one row per state and the marginal row
+    last (see the module docstring). ``indptr`` and ``targets`` are
+    ``np.intp``, and ``weights`` float64, all contiguous."""
+
+    def __init__(self, indptr: np.ndarray, targets: np.ndarray, weights: np.ndarray):
+        self.indptr, self.targets, self.weights = indptr, targets, weights
+        self.cumsum = _running_sums(indptr, weights)
+        ends = indptr[1:]
+        nonempty = ends > indptr[:-1]
+        self.total = np.zeros(len(ends))
+        self.total[nonempty] = self.cumsum[ends[nonempty] - 1]
+        marginal = len(ends) - 1
+        states = np.arange(marginal, dtype=np.intp)
+        self.sampling = np.where(self.total[:marginal] > 0, states, marginal)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[_Row]) -> "_Table":
+        """The table of ``rows``, one per state and the marginal row last.
+        Every target must be a state and every state must have a row to
+        sample, since the kernel's walk reads the arrays unchecked."""
+        stop = len(rows) - 2
+        for row in rows:
+            if len(row.weight_values) != len(row.targets):
+                raise ValueError("a row must have one weight per target")
+            for target in row.targets:
+                check_integer(target, "row target", 0, stop)
+        indptr = np.cumsum([0, *(len(row.targets) for row in rows)], dtype=np.intp)
+        targets = np.array([t for row in rows for t in row.targets], dtype=np.intp)
+        weights = np.array([w for row in rows for w in row.weight_values], dtype=float)
+        table = cls(indptr, targets, weights)
+        if indptr[-1] == indptr[-2] and (table.sampling > stop).any():
+            raise ValueError("a state has no row of positive mass and the marginal row is empty")
+        return table
+
+    def row(self, r: int) -> _Row:
+        """Row r as a ``_Row``."""
+        start, end = self.indptr[r], self.indptr[r + 1]
+        if start == end:
+            return _EMPTY_ROW
+        weights = array("d", self.weights[start:end].tobytes())
+        return _Row(tuple(self.targets[start:end].tolist()), weights)
+
+    @functools.cached_property
+    def lists(self) -> tuple[list, ...]:
+        """The arrays that the walk reads, as lists, for the Python walk."""
+        return tuple(a.tolist() for a in self._walked)
+
+    @functools.cached_property
+    def addresses(self) -> tuple[int, ...]:
+        """The address of each array that the walk reads, for the kernel."""
+        return tuple(a.ctypes.data for a in self._walked)
+
+    @property
+    def _walked(self) -> tuple[np.ndarray, ...]:
+        return self.indptr, self.targets, self.cumsum, self.total, self.sampling
+
+    def __getstate__(self) -> dict:
+        # an unpickled copy holds its arrays at other addresses
+        return {k: v for k, v in self.__dict__.items() if k != "addresses"}
+
+
+class _TableRows(Mapping):
+    """The minority words' rows of a table, by state. Each is built as a
+    ``_Row`` when it is first read, and kept, so a state's row is one object."""
+
+    def __init__(self, table: _Table, n_min: int):
+        self.table, self._n_min, self._built = table, n_min, {}
+
+    def __contains__(self, state) -> bool:
+        return state in range(self._n_min)
+
+    def __getitem__(self, state) -> _Row:
+        if state not in self:
+            raise KeyError(state)
+        state = int(state)
+        row = self._built.get(state)
+        if row is None:
+            row = self._built[state] = self.table.row(state)
+        return row
+
+    def __iter__(self):
+        return iter(range(self._n_min))
+
+    def __len__(self) -> int:
+        return self._n_min
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionModel:
     """Sparse transition weight table plus empirical minority lengths.
 
-    Rows are resolved once per state: majority-only words share the marginal
-    row, a minority word with no row has an empty one, and for sampling a
-    zero-mass row falls back to the marginal row, so the walk never stalls.
+    The walk reads one flat ``_Table``. ``estimate`` writes it and gives
+    ``min_rows`` as a view of it; a model built from ``_Row`` objects derives
+    it from them. Majority-only words share the marginal row, a minority word
+    with no row has an empty one, and for sampling a zero-mass row falls back
+    to the marginal row, so the walk never stalls.
     """
 
     partition: VocabPartition
     gamma: float
     lengths: tuple[int, ...]
-    min_rows: dict[int, _Row]  # rows for minority-vocabulary words
+    min_rows: Mapping[int, _Row]  # rows for minority-vocabulary words
     stop_row: _Row  # initial-word counts
     marginal_row: _Row  # minority marginal word counts
 
     def __post_init__(self):
-        part, marginal = self.partition, self.marginal_row
-        stored = [self.min_rows.get(i, _EMPTY_ROW) for i in range(part.n_min)]
-        stored += [marginal] * (part.stop_index - part.n_min) + [self.stop_row]
-        object.__setattr__(self, "_stored", tuple(stored))
-        sampling = tuple(row if row.total > 0 else marginal for row in stored)
-        object.__setattr__(self, "_sampling", sampling)
+        if isinstance(self.min_rows, _TableRows):
+            table = self.min_rows.table
+        else:
+            part = self.partition
+            rows = [self.min_rows.get(i, _EMPTY_ROW) for i in range(part.n_min)]
+            rows += [_EMPTY_ROW] * (part.stop_index - part.n_min)
+            table = _Table.from_rows([*rows, self.stop_row, self.marginal_row])
+        object.__setattr__(self, "_table", table)
+
+    @functools.cached_property
+    def _words(self) -> np.ndarray:
+        """The words by state, as an object array for the compiled walk to index."""
+        return np.array(self.partition.words, dtype=object)
 
     def _state(self, idx: int) -> int:
         """``idx`` if it is a state index, else one ``ValueError`` line."""
@@ -145,11 +270,15 @@ class TransitionModel:
 
     def row(self, idx: int) -> _Row:
         """Effective sampling row for a state index."""
-        return self._sampling[self._state(idx)]
+        stored = self.stored_row(idx)
+        return stored if stored.total > 0 else self.marginal_row
 
     def stored_row(self, idx: int) -> _Row:
         """Row as estimated, without the zero-mass fallback (for inspection)."""
-        return self._stored[self._state(idx)]
+        idx, part = self._state(idx), self.partition
+        if idx < part.n_min:
+            return self.min_rows.get(idx, _EMPTY_ROW)
+        return self.stop_row if idx == part.stop_index else self.marginal_row
 
     def weight(self, i: int, j: int) -> float:
         """Unnormalized stored weight from state i to state j."""
@@ -237,31 +366,28 @@ def estimate(
             grow = grow[k[grow] > j]
             weights[grow] += gamma
     kept = sources != targets  # self-transitions are zeroed
-    # the keys are sorted, so each state's row is one slice of the kept pairs
-    bounds = np.searchsorted(sources[kept], range(width + 1)).tolist()
-    # one int object per state, as in the index, not one per pair
-    targets = np.arange(width, dtype=object)[targets[kept]].tolist()
-    weights = array("d", weights[kept].tobytes())
-    rows = [
-        _Row(tuple(targets[s:e]), weights[s:e]) if s < e else _EMPTY_ROW
-        for s, e in zip(bounds, bounds[1:])
-    ]
-
-    min_rows = dict(enumerate(rows[:n_min]))
-    for i, row in min_rows.items():
-        if not math.isfinite(row.total):
-            raise ValueError(
-                f"gamma {gamma} overflows the transition weights of word "
-                f"{part.words[i]!r} to infinity"
-            )
+    # the keys are sorted, so each state's row is one slice of the kept pairs;
+    # the marginal row follows the stop state's
+    indptr = np.searchsorted(sources[kept], np.arange(width + 1))
+    table = _Table(
+        np.append(indptr, indptr[-1] + n_min).astype(np.intp),
+        np.concatenate((targets[kept], np.arange(n_min))).astype(np.intp),
+        np.concatenate((weights[kept], marginal)),
+    )
+    infinite = np.flatnonzero(~np.isfinite(table.total[:n_min]))
+    if len(infinite):
+        raise ValueError(
+            f"gamma {gamma} overflows the transition weights of word "
+            f"{part.words[infinite[0]]!r} to infinity"
+        )
 
     return TransitionModel(
         partition=part,
         gamma=gamma,
         lengths=tuple(map(len, minority_docs)),
-        min_rows=min_rows,
-        stop_row=rows[stop],
-        marginal_row=_Row(tuple(range(n_min)), array("d", marginal.tobytes())),
+        min_rows=_TableRows(table, n_min),
+        stop_row=table.row(stop),
+        marginal_row=table.row(width),
     )
 
 
@@ -273,25 +399,13 @@ def sample_document(
     """Generate one synthetic document as a random walk from the stop state.
 
     A drawn stop token is never emitted; it just resets the current state.
-    Emission continues until exactly ``length`` words have been produced. Each
-    step emits at most one word, so a batch of ``length - len(out)`` uniforms
-    is never more than the walk takes.
+    Emission continues until exactly ``length`` words have been produced;
+    without a length, one is drawn from the model's lengths.
     """
-    if length is None:
-        length = int(model.lengths[rng.integers(len(model.lengths))])
-    else:
+    check_type(rng, "rng", np.random.Generator, "a numpy Generator")
+    if length is not None:
         check_integer(length, "length")
-    words, rows = model.partition.words, model._sampling
-    stop = current = model.partition.stop_index
-    out: list[str] = []
-    while len(out) < length:
-        for u in rng.random(length - len(out)).tolist():
-            row = rows[current]  # one step of _Row.draw, with the uniform u
-            pos = bisect_right(row.cumsum, u * row.total)
-            current = row.targets[pos] if pos < len(row.targets) else row.targets[-1]
-            if current != stop:
-                out.append(words[current])
-    return out
+    return _walk(model, rng, 1, length)[0]
 
 
 def oversample(
@@ -299,4 +413,52 @@ def oversample(
 ) -> list[list[str]]:
     """Draw ``count`` independent synthetic documents."""
     check_integer(count, "count")
-    return [sample_document(model, rng) for _ in range(count)]
+    check_type(rng, "rng", np.random.Generator, "a numpy Generator")
+    return _walk(model, rng, count)
+
+
+def _walk(
+    model: TransitionModel, rng: np.random.Generator, count: int, length: int | None = None
+) -> list[list[str]]:
+    """``count`` walked documents of ``length`` words, or each of a length
+    drawn from the model's lengths right before its uniforms.
+
+    The Python loop draws its uniforms in batches: each step emits at most one
+    word, so a batch of ``n - len(doc)`` uniforms, for a document of n words,
+    is never more than the walk takes."""
+    if length is None:
+        lengths = (int(model.lengths[rng.integers(len(model.lengths))]) for _ in range(count))
+        longest = max(model.lengths, default=0)
+    else:
+        lengths, longest = [int(length)] * count, int(length)
+    table, stop = model._table, model.partition.stop_index
+    kernel = classifier.load_kernel()
+    docs = []
+    if kernel is None:
+        indptr, targets, cumsum, total, sampling = table.lists
+        words = model.partition.words
+        for n in lengths:
+            doc, current = [], stop
+            while len(doc) < n:
+                for u in rng.random(n - len(doc)).tolist():
+                    r = sampling[current]
+                    hi = indptr[r + 1]
+                    pos = bisect_right(cumsum, u * total[r], indptr[r], hi)
+                    current = targets[pos] if pos < hi else targets[hi - 1]
+                    if current != stop:
+                        doc.append(words[current])
+            docs.append(doc)
+        return docs
+    import ctypes
+
+    bits = rng.bit_generator
+    draws = (ctypes.cast(bits.ctypes.next_double, ctypes.c_void_p).value,
+             bits.ctypes.state_address)
+    out = np.empty(longest, dtype=np.intp)
+    walked = (*table.addresses, stop)
+    out_p = out.ctypes.data  # taken once; out outlives the loop
+    for n in lengths:
+        with bits.lock:
+            kernel.chain_walk(*walked, n, *draws, out_p)
+        docs.append(model._words[out[:n]].tolist())
+    return docs

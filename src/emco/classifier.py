@@ -191,8 +191,9 @@ def _compiled_epochs(csr, y, qii, c, tol, max_iters, n_features, rng):
 
 @functools.cache
 def load_kernel():
-    """The compiled epoch kernel, a ``ctypes.CDLL`` of ``_dcd.c``, or None
-    after one warning when it cannot be built or loaded.
+    """The compiled kernel, a ``ctypes.CDLL`` of ``_dcd.c``, or None after one
+    warning when it cannot be built or loaded. It runs the solver's epochs and
+    the chain's running sums and walk (``chain.py``).
 
     The first call on a machine compiles the source with ``cc`` into
     ``$XDG_CACHE_HOME/emco`` (else ``~/.cache/emco``), under a name keyed by
@@ -210,12 +211,19 @@ def load_kernel():
             _compile_kernel(path)
         kernel = ctypes.CDLL(str(path))
     except (OSError, RuntimeError) as error:
-        log.warning("compiled DCD solver unavailable, training runs the Python loop: %s", error)
+        log.warning(
+            "compiled kernel unavailable, training runs the Python loop and the chain "
+            "walks in Python: %s", error,
+        )
         return None
     pointer, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     out = ctypes.POINTER(real)
     kernel.dcd_epoch.argtypes = [pointer] * 6 + [size, size, real, pointer, out, pointer, out]
     kernel.dcd_epoch.restype = real
+    kernel.row_cumsum.argtypes = [pointer, pointer, size, pointer]
+    kernel.row_cumsum.restype = None
+    kernel.chain_walk.argtypes = [pointer] * 5 + [size, size, pointer, pointer, pointer]
+    kernel.chain_walk.restype = None
     return kernel
 
 

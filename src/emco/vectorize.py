@@ -31,6 +31,8 @@ class SparseVector:
         # numpy makes [0, True] an int64 array, so CsrRows cannot see the bool
         if not {bool, np.bool_}.isdisjoint(type(i) for i, _ in self.entries):
             raise ValueError("entries must have integer indices, got a bool")
+        for value in {type(v): v for _, v in self.entries}.values():  # one of each type
+            check_type(value, "entry value", numbers.Real, "a real number")  # NaN passes
         if (to_csr([self]).data == 0.0).any():  # CsrRows holds the row rule
             raise ValueError("entries must be nonzero")
 

@@ -22,5 +22,12 @@ def make_raw(id, text, labels=("x",), split="train"):
 
 @pytest.fixture
 def python_loop(monkeypatch):
-    """Train on the Python epoch loop, as where the kernel cannot be built."""
+    """Train on the Python epoch loop, and sum and walk chains in Python, as
+    where the kernel cannot be built."""
     monkeypatch.setattr(classifier, "load_kernel", lambda: None)
+
+
+@pytest.fixture
+def compiled_kernel():
+    if classifier.load_kernel() is None:
+        pytest.skip("the compiled kernel cannot be built here")

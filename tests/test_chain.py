@@ -1,13 +1,15 @@
 import hashlib
+import itertools
 import json
+import pickle
 from array import array
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from emco import chain, corpus, harness
+from emco import chain, classifier, corpus, harness
 
 MIN_3DOC = [["a", "b"], ["b", "a"]]
 MAJ_3DOC = [["b", "c", "a"]]
@@ -308,6 +310,11 @@ def test_bundled_corpus_walks_are_pinned(mini_docs):
     )
 
 
+@pytest.mark.usefixtures("python_loop")
+def test_bundled_corpus_walks_are_pinned_on_the_python_walk(mini_docs):
+    test_bundled_corpus_walks_are_pinned(mini_docs)
+
+
 def reference_estimate(minority_docs, majority_docs, gamma):
     """The two-pass estimate the one-pass ``chain.estimate`` replaced: a
     ``VocabPartition.index`` call per token and a stop pair per document."""
@@ -467,13 +474,14 @@ class TestStateTable:
 
     @given(MINORITY_DOCS, MAJORITY_DOCS, st.sampled_from([0.0, 0.01, 1.0]),
            st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=60)
+    # TestStateTableOnPythonWalk runs this test too, on the Python walk
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.differing_executors])
     def test_estimated_models_walk_as_the_reference(self, minority, majority, gamma, seed):
         self.assert_follows_the_rule(chain.estimate(minority, majority, gamma), [seed])
 
     @given(MINORITY_DOCS, MAJORITY_DOCS, st.sampled_from([0.0, 1.0]),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 12), max_size=6))
-    @settings(max_examples=40)
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.differing_executors])
     def test_explicit_lengths_walk_as_the_reference(self, minority, majority, gamma, seed,
                                                     lengths):
         model = chain.estimate(minority, majority, gamma)
@@ -498,6 +506,24 @@ class TestStateTable:
         )
         assert model.stored_row(1).total == model.stored_row(2).total == 0.0
         assert model.stored_row(2).targets == (0,)
+        self.assert_follows_the_rule(model, range(5))
+
+    def test_subnormal_rows_walk_as_the_reference(self):
+        # u * total rounds onto a running sum for many u, so the search must
+        # take the position past equal sums, as bisect_right does
+        tiny = 5e-324
+        model = chain.TransitionModel(
+            partition=chain.VocabPartition(words=("a", "b", "c"), n_min=3),
+            gamma=0.0,
+            lengths=(3, 6),
+            min_rows={
+                0: chain._make_row({1: tiny, 2: tiny, 3: tiny}),
+                1: chain._make_row({0: tiny, 2: tiny}),
+                2: chain._make_row({0: tiny, 1: tiny, 3: tiny}),
+            },
+            stop_row=chain._make_row({0: tiny, 1: tiny, 2: tiny}),
+            marginal_row=chain._make_row({0: 1.0}),
+        )
         self.assert_follows_the_rule(model, range(5))
 
     @pytest.mark.parametrize("state", [-1, 4, 99, True, False, 2.5, np.float64(1.0), "1", None])
@@ -525,3 +551,118 @@ class TestStateTable:
         assert model != again
         keys = {model: "first", again: "second"}
         assert len(keys) == 2 and keys[model] == "first"
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestStateTableOnPythonWalk(TestStateTable):
+    pass
+
+
+def on_the_python_walk(call):
+    """``call()`` with the chain summed and walked in Python."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifier, "load_kernel", lambda: None)
+        return call()
+
+
+def evaluable_tasks(docs):
+    """(minority, majority) token lists of each evaluable task at ratio 0.2."""
+    return [
+        ([d.tokens for d in task.train_minority], [d.tokens for d in task.train_majority])
+        for task in corpus.build_ovr_tasks(docs, 0.2) if task.evaluable
+    ]
+
+
+@pytest.mark.usefixtures("compiled_kernel")
+class TestCompiledTable:
+    @given(MINORITY_DOCS, MAJORITY_DOCS, st.sampled_from([0.0, 0.01, 1.0]),
+           st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 12), max_size=4))
+    @settings(max_examples=60)
+    def test_walks_leave_the_generator_as_the_python_walk(self, minority, majority, gamma,
+                                                          seed, lengths):
+        model = chain.estimate(minority, majority, gamma)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        def walk(generator):
+            docs = chain.oversample(model, 10, generator)
+            return docs + [chain.sample_document(model, generator, n) for n in lengths]
+
+        assert walk(rng) == on_the_python_walk(lambda: walk(twin))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.1])
+    def test_running_sums_are_the_bits_of_accumulate(self, mini_docs, gamma):
+        for minority, majority in evaluable_tasks(mini_docs):
+            table = chain.estimate(minority, majority, gamma)._table
+            bounds, weights = table.indptr.tolist(), table.weights.tolist()
+            rows = [list(itertools.accumulate(weights[s:e])) for s, e in zip(bounds, bounds[1:])]
+            assert table.cumsum.tobytes() == np.array(sum(rows, []), dtype=float).tobytes()
+            totals = [row[-1] if row else 0.0 for row in rows]
+            assert table.total.tobytes() == np.array(totals).tobytes()
+            python = on_the_python_walk(lambda: chain.estimate(minority, majority, gamma))._table
+            assert python.cumsum.tobytes() == table.cumsum.tobytes()
+
+    def test_a_pickled_model_walks_its_own_arrays(self):
+        model = chain.estimate(MIN_3DOC, MAJ_3DOC, 1.0)
+        chain.oversample(model, 3, np.random.default_rng(0))  # the walk takes the addresses
+        copy = pickle.loads(pickle.dumps(model))
+        table = copy._table
+        arrays = (table.indptr, table.targets, table.cumsum, table.total, table.sampling)
+        assert table.addresses == tuple(a.ctypes.data for a in arrays)
+        walks = [chain.oversample(m, 20, np.random.default_rng(1)) for m in (copy, model)]
+        assert walks[0] == walks[1]
+
+    @given(st.lists(st.lists(st.floats(allow_nan=False), max_size=6), min_size=1, max_size=6))
+    @example([[-0.0, 0.0], [], [5e-324, 1e308, 1e308]])  # a signed zero first, then overflow
+    def test_kernel_sums_rows_as_accumulate(self, rows):
+        indptr = np.cumsum([0, *map(len, rows)], dtype=np.intp)
+        weights = np.array(sum(rows, []), dtype=float)
+        want = on_the_python_walk(lambda: chain._running_sums(indptr, weights))
+        assert chain._running_sums(indptr, weights).tobytes() == want.tobytes()
+
+
+def test_estimate_builds_no_row_until_one_is_asked_for(mini_docs, monkeypatch):
+    minority, majority = max(evaluable_tasks(mini_docs), key=lambda task: len(task[0]))
+    built = []
+    init = chain._Row.__init__
+    monkeypatch.setattr(chain._Row, "__init__", lambda row, *args: built.append(row) or init(row, *args))
+    model = chain.estimate(minority, majority, 1.0)
+    assert built == [model.stop_row, model.marginal_row]
+    chain.oversample(model, 50, np.random.default_rng(0))  # the walk reads the table only
+    assert len(built) == 2
+    row = model.row(5)
+    assert built[2:] == [row]
+    assert model.stored_row(5) is model.min_rows[5] is model.min_rows.get(5) is row
+    assert len(built) == 3
+
+
+class TestHandBuiltTable:
+    """A model built from rows is refused where its walk could leave the table."""
+
+    PART = chain.VocabPartition(words=("a", "b"), n_min=2)
+
+    def model(self, rows, marginal=None):
+        return chain.TransitionModel(
+            partition=self.PART, gamma=0.0, lengths=(2,), min_rows=rows,
+            stop_row=chain._make_row({0: 1.0}),
+            marginal_row=chain._make_row({0: 1.0}) if marginal is None else marginal,
+        )
+
+    @pytest.mark.parametrize("target", [-1, 3, 99])
+    def test_target_outside_the_states(self, target):
+        with pytest.raises(ValueError) as exc:
+            self.model({0: chain._make_row({target: 1.0}), 1: chain._make_row({0: 1.0})})
+        assert str(exc.value) == f"row target must be in [0, 2], got {target}"
+
+    def test_row_without_a_weight_per_target(self):
+        with pytest.raises(ValueError, match="one weight per target"):
+            self.model({0: chain._Row((1, 2), array("d", [1.0])), 1: chain._make_row({0: 1.0})})
+
+    def test_empty_marginal_row_where_a_state_needs_it(self):
+        with pytest.raises(ValueError, match="the marginal row is empty"):
+            self.model({0: chain._make_row({1: 1.0})}, marginal=chain._make_row({}))
+        # where every state has a row of its own, the marginal row is never read
+        model = self.model({0: chain._make_row({1: 1.0}), 1: chain._make_row({2: 1.0})},
+                           marginal=chain._make_row({}))
+        assert chain.sample_document(model, np.random.default_rng(0), 4) == ["a", "b"] * 2

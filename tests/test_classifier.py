@@ -351,12 +351,6 @@ class TestTrainPropertiesOnPythonLoop(TestTrainProperties):
     pass
 
 
-@pytest.fixture
-def compiled_kernel():
-    if classifier.load_kernel() is None:
-        pytest.skip("the compiled solver cannot be built here")
-
-
 @pytest.mark.usefixtures("compiled_kernel")
 class TestSolverAgreement:
     @given(

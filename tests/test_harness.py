@@ -720,9 +720,14 @@ def test_scaled_run_results_are_pinned(request, tmp_path, bench, solver):
 
 
 def test_vocab_sweep_outputs_are_pinned(tmp_path, bench):
-    # no classifier trains here, so the solver path does not reach these bytes
+    # no classifier trains here, but the chain is summed and walked by the kernel
     workload, path = generated_corpus(bench, tmp_path, "vocab-sweep")
     assert bench[1].VocabBench(path, workload.seed).unit().fingerprint == VOCAB_SWEEP_FINGERPRINT
+
+
+@pytest.mark.usefixtures("python_loop")
+def test_vocab_sweep_outputs_are_pinned_on_the_python_walk(tmp_path, bench):
+    test_vocab_sweep_outputs_are_pinned(tmp_path, bench)
 
 
 @pytest.mark.parametrize("solver", ["compiled", "python"])

@@ -17,6 +17,7 @@ from emco.vectorize import TfidfModel, check_type
 PARTITION = chain.VocabPartition(words=("a", "ef"), n_min=1)
 TFIDF = TfidfModel(vocabulary={"ab": 0}, idf=np.ones(1))
 ROWS = vectorize.CsrRows.from_dense(np.eye(2))
+MODEL = chain.estimate([["a", "b"]], [["b", "c"]], 1.0)
 
 
 def config(**values):
@@ -147,6 +148,26 @@ GATED = [
     ("vocab_expansion_eval minority test int token",
      ignore_path(lambda: analysis.vocab_expansion_eval([["ef"]], PARTITION, [[0]])),
      "word must be a string, got int"),
+    ("SparseVector None value", ignore_path(lambda: vectorize.SparseVector(((0, None),))),
+     "entry value must be a real number, got NoneType"),
+    ("SparseVector str value",
+     ignore_path(lambda: vectorize.SparseVector(((0, 1.0), (1, "a")))),
+     "entry value must be a real number, got str"),
+    ("SparseVector bool value", ignore_path(lambda: vectorize.SparseVector(((0, True),))),
+     "entry value must be a real number, got bool"),
+    ("SparseVector numpy bool value",
+     ignore_path(lambda: vectorize.SparseVector(((0, np.True_),))),
+     "entry value must be a real number, got bool"),
+    ("sample_document rng None", ignore_path(lambda: chain.sample_document(MODEL, None)),
+     "rng must be a numpy Generator, got NoneType"),
+    ("sample_document RandomState",
+     ignore_path(lambda: chain.sample_document(MODEL, np.random.RandomState(0), 3)),
+     "rng must be a numpy Generator, got RandomState"),
+    ("oversample rng int", ignore_path(lambda: chain.oversample(MODEL, 2, 5)),
+     "rng must be a numpy Generator, got int"),
+    ("oversample RandomState",
+     ignore_path(lambda: chain.oversample(MODEL, 2, np.random.RandomState(0))),
+     "rng must be a numpy Generator, got RandomState"),
     ("train bool label", ignore_path(lambda: classifier.train(ROWS, [True, -1])),
      "labels must be -1 or +1, got True"),
     ("train numpy bool labels",

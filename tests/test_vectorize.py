@@ -295,6 +295,12 @@ class TestSparseVector:
         assert [i for i, _ in vec.entries] == [0, 3]
         assert math.isnan(vec.entries[0][1]) and vec.entries[1][1] == 2.0
 
+    @pytest.mark.parametrize("value", [np.nan, 2, np.float32(0.5), np.int8(-3)])
+    def test_real_values_pass_nan_included(self, value):
+        # NaN is kept, as from_dense keeps it, for the readers' check_real
+        dense = vectorize.SparseVector(((1, value),)).to_dense(2)
+        assert dense[0] == 0.0 and repr(dense[1]) == repr(np.float64(value))
+
     @pytest.mark.parametrize(
         "entries",
         [((True, 1.0),), ((np.True_, 1.0),), ((0, 1.0), (True, 2.0))],
