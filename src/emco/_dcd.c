@@ -1,6 +1,6 @@
 /* The compiled loops of emco, loaded with ctypes by classifier.load_kernel:
  *
- * - dcd_epoch, the epoch loop of classifier.train: dual coordinate descent
+ * - dcd_epochs, the epoch loop of classifier.train: dual coordinate descent
  *   for the L1-loss linear SVM, with the bias as a separate variable;
  * - row_cumsum and chain_walk, the running sums of a chain's transition table
  *   and the random walk over it (chain.py).
@@ -12,20 +12,23 @@
  * C-contiguous np.intp (ptrdiff_t), values float64; the callers check every
  * index before a call.
  *
- * dcd_epoch runs one epoch per call, which also gives the epoch's dual value.
- * Row i is indices/data[indptr[i] .. indptr[i + 1]), read as they come from
- * vectorize.to_csr. The caller checks that every index is in [0, n_features),
- * every value is finite and every order entry in [0, n).
+ * dcd_epochs runs a whole training in one call, up to a given number of
+ * epochs, and draws each epoch's row order itself: the Fisher-Yates shuffle
+ * of Generator.permutation(n), on the Generator's own uint32 stream. Row i is
+ * indices/data[indptr[i] .. indptr[i + 1]), read as they come from
+ * vectorize.to_csr. The caller checks that every index is in [0, n_features)
+ * and every value is finite.
  */
 #include <stddef.h>
+#include <stdint.h>
 
 /* One epoch over the rows in `order`: updates w, *bias and alpha in place,
  * writes the dual objective 0.5 * (||w||^2 + bias^2) - sum(alpha) after it
  * to *dual, and returns its max projected-gradient violation. */
-double dcd_epoch(const ptrdiff_t *indptr, const ptrdiff_t *indices,
-                 const double *data, const double *y, const double *qii,
-                 const ptrdiff_t *order, ptrdiff_t n, ptrdiff_t n_features,
-                 double c, double *w, double *bias, double *alpha, double *dual)
+static double dcd_epoch(const ptrdiff_t *indptr, const ptrdiff_t *indices,
+                        const double *data, const double *y, const double *qii,
+                        const ptrdiff_t *order, ptrdiff_t n, ptrdiff_t n_features,
+                        double c, double *w, double *bias, double *alpha, double *dual)
 {
     double b = *bias;
     double max_violation = 0.0;
@@ -75,6 +78,58 @@ double dcd_epoch(const ptrdiff_t *indptr, const ptrdiff_t *indices,
         alpha_sum += alpha[i];
     *dual = 0.5 * (w_sq + b * b) - alpha_sum;
     return max_violation;
+}
+
+/* Writes to order the permutation that Generator.permutation(n) would give
+ * next: arange(n), then for i from n - 1 down to 1 a swap of order[i] with
+ * order[j], j drawn in [0, i] as numpy's random_interval draws it, by masking
+ * next_uint32 to the smallest all-ones mask >= i and drawing again while the
+ * result exceeds i. numpy takes next_uint64 instead once i exceeds
+ * 0xffffffff, so this assumes fewer than 2^32 rows: beyond that y, qii and
+ * alpha alone would need 96 GiB. */
+static void draw_permutation(ptrdiff_t *order, ptrdiff_t n,
+                             uint32_t (*next_uint32)(void *), void *bitgen_state)
+{
+    for (ptrdiff_t k = 0; k < n; k++)
+        order[k] = k;
+    for (ptrdiff_t i = n - 1; i > 0; i--) {
+        uint32_t max = (uint32_t)i, mask = max, j;
+        mask |= mask >> 1;
+        mask |= mask >> 2;
+        mask |= mask >> 4;
+        mask |= mask >> 8;
+        mask |= mask >> 16;
+        while ((j = next_uint32(bitgen_state) & mask) > max)
+            ;
+        ptrdiff_t swap = order[i];
+        order[i] = order[j];
+        order[j] = swap;
+    }
+}
+
+/* Up to max_epochs epochs of classifier.train from (w, *bias, alpha), each
+ * over the rows in the order draw_permutation gives; order is scratch space
+ * of n entries. Epoch e writes its dual value to duals[e]. Stops after the
+ * first epoch whose max violation is at most tol, writes the last epoch's
+ * max violation to *violation and returns the number of epochs run.
+ * next_uint32 and bitgen_state are those of a numpy Generator's
+ * bit_generator.ctypes, so the draws continue the Generator's stream: a
+ * training split across several calls runs the same epochs as one call. */
+ptrdiff_t dcd_epochs(const ptrdiff_t *indptr, const ptrdiff_t *indices,
+                     const double *data, const double *y, const double *qii,
+                     ptrdiff_t n, ptrdiff_t n_features, double c, double tol,
+                     ptrdiff_t max_epochs, uint32_t (*next_uint32)(void *),
+                     void *bitgen_state, ptrdiff_t *order, double *w, double *bias,
+                     double *alpha, double *duals, double *violation)
+{
+    for (ptrdiff_t e = 0; e < max_epochs; e++) {
+        draw_permutation(order, n, next_uint32, bitgen_state);
+        *violation = dcd_epoch(indptr, indices, data, y, qii, order, n, n_features,
+                               c, w, bias, alpha, &duals[e]);
+        if (*violation <= tol)
+            return e + 1;
+    }
+    return max_epochs;
 }
 
 /* The running sums of each row r of weights[indptr[r] .. indptr[r + 1]),

@@ -7,9 +7,11 @@ for the L1-loss SVM dual; its dual objective decreases monotonically, which
 is the descent property recorded per epoch.
 
 ``train`` reads one ``CsrRows`` (a ``SparseVector`` list becomes one first);
-``qii``, the solver and the primal all read its arrays. Each epoch, with its
-dual value, is one call into a small C kernel, ``_dcd.c``, compiled on first
-use (see ``load_kernel``). Where it cannot be built, ``_python_epochs`` runs
+``qii``, the solver and the primal all read its arrays. A training is one
+call into a small C kernel, ``_dcd.c``, compiled on first use (see
+``load_kernel``): the kernel runs the epochs, writes each epoch's dual value
+and draws each epoch's row order from the Generator's stream itself, as
+``rng.permutation`` would. Where it cannot be built, ``_python_epochs`` runs
 the same loop on plain Python floats and gives the same bytes: it is the
 fallback and the reference for the kernel.
 
@@ -44,6 +46,8 @@ _KERNEL_SOURCE = Path(__file__).with_name("_dcd.c")
 # -ffp-contract=off keeps a * b + c from fusing into one rounding, which
 # would change the bytes; -ffast-math would too, so it is never used.
 _KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# epochs per kernel call: the default max_iters of 1000 takes one call
+_DUALS_PER_CALL = 1024
 
 
 @dataclass(frozen=True)
@@ -163,8 +167,11 @@ def _python_epochs(csr, y, qii, c, tol, max_iters, n_features, rng):
 
 
 def _compiled_epochs(csr, y, qii, c, tol, max_iters, n_features, rng):
-    """``_python_epochs`` with each epoch, and its dual value, run by one
-    kernel call on the arrays of ``csr`` as they are."""
+    """``_python_epochs`` as one kernel call per training, on the arrays of
+    ``csr`` as they are. The kernel draws each epoch's order from ``rng``'s
+    own stream, as ``rng.permutation`` would, and writes the dual values into
+    a buffer of ``_DUALS_PER_CALL`` epochs; a training longer than that takes
+    one more call per buffer."""
     import ctypes
 
     kernel = load_kernel()
@@ -172,21 +179,23 @@ def _compiled_epochs(csr, y, qii, c, tol, max_iters, n_features, rng):
     w = np.zeros(n_features)
     alpha = np.zeros(n)
     order = np.empty(n, dtype=np.intp)
-    bias, dual = ctypes.c_double(0.0), ctypes.c_double(0.0)
-    # addresses taken once; these arrays and the caller's outlive the loop
-    fixed_p = [a.ctypes.data for a in (csr.indptr, csr.indices, csr.data, y, qii)]
-    order_p, w_p, alpha_p = order.ctypes.data, w.ctypes.data, alpha.ctypes.data
-    bias_p, dual_p = ctypes.byref(bias), ctypes.byref(dual)
+    duals = np.empty(min(max_iters, _DUALS_PER_CALL))
+    bias, violation = ctypes.c_double(0.0), ctypes.c_double(0.0)
+    bits = rng.bit_generator
+    draws = (ctypes.cast(bits.ctypes.next_uint32, ctypes.c_void_p).value,
+             bits.ctypes.state_address)
+    # these arrays and the caller's outlive the calls
+    fixed = [a.ctypes.data for a in (csr.indptr, csr.indices, csr.data, y, qii)]
+    written = [order.ctypes.data, w.ctypes.data, ctypes.byref(bias), alpha.ctypes.data,
+               duals.ctypes.data, ctypes.byref(violation)]
     history = []
-    for _ in range(max_iters):
-        order[:] = rng.permutation(n)
-        max_violation = kernel.dcd_epoch(
-            *fixed_p, order_p, n, n_features, c, w_p, bias_p, alpha_p, dual_p
-        )
-        history.append(dual.value)
-        if max_violation <= tol:
-            break
-    return w, bias.value, history
+    while True:
+        epochs = min(len(duals), max_iters - len(history))
+        with bits.lock:
+            ran = kernel.dcd_epochs(*fixed, n, n_features, c, tol, epochs, *draws, *written)
+        history += duals[:ran].tolist()
+        if violation.value <= tol or len(history) == max_iters:
+            return w, bias.value, history
 
 
 @functools.cache
@@ -218,8 +227,10 @@ def load_kernel():
         return None
     pointer, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     out = ctypes.POINTER(real)
-    kernel.dcd_epoch.argtypes = [pointer] * 6 + [size, size, real, pointer, out, pointer, out]
-    kernel.dcd_epoch.restype = real
+    kernel.dcd_epochs.argtypes = (
+        [pointer] * 5 + [size, size, real, real, size] + [pointer] * 4 + [out, pointer, pointer, out]
+    )
+    kernel.dcd_epochs.restype = size
     kernel.row_cumsum.argtypes = [pointer, pointer, size, pointer]
     kernel.row_cumsum.restype = None
     kernel.chain_walk.argtypes = [pointer] * 5 + [size, size, pointer, pointer, pointer]

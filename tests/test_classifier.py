@@ -365,18 +365,36 @@ class TestSolverAgreement:
     @example(([sv(0.5, 0.5)] * 2 + [SparseVector(())], [1, -1, 1]), 0.001, 1e-9, 20, 0, 1)
     @example(([SparseVector(())] * 3, [1, -1, -1]), 0.01, 1e-3, 10, 1, 3)  # empty rows only
     @example(([sv(1.0, -0.5), sv(0.25), sv(1.0, -0.5)], [1, -1, -1]), 1.0, 1e-9, 1, 2, 0)
+    # 1100 rows: more rows than one kernel call holds epochs
+    @example(
+        ([sv(k % 5 * 0.25, 1.0 - k % 3 * 0.5) for k in range(1100)],
+         [-1 if k % 4 == 0 else 1 for k in range(1100)]),
+        1.0, 1e-3, 50, 7, 600,
+    )
+    # converges at epoch 1070, in the second kernel call
+    @example(
+        ([sv(1.5, -1.5), sv(-0.75, -1.0), sv(0.75, -0.75), sv(-1.75, -2.0)], [1, -1, -1, 1]),
+        10.0, 1e-12, 2000, 0, 2,
+    )
+    # never within tol: stops at max_iters in the third kernel call
+    @example(([sv(1.0, -0.5), sv(0.25), sv(1.0, -0.5)], [1, -1, -1]), 10.0, 1e-300, 2100, 0, 1)
     @settings(max_examples=150, deadline=None)
     def test_compiled_and_python_epochs_are_equal(self, problem, c, tol, max_iters, seed, split):
         """Both solvers give the same weights, bias and dual history, also on
-        rows stacked from two ``CsrRows`` as the harness stacks them."""
+        rows stacked from two ``CsrRows`` as the harness stacks them, and
+        leave their Generators in the same state: the kernel draws each
+        epoch's order as ``rng.permutation`` does, so a numpy release that
+        changes that stream fails here."""
         vectors, labels = problem
         rows = to_csr(vectors[:split]).stack(to_csr(vectors[split:]))
         y = np.array(labels, dtype=float)
         qii = np.bincount(rows.entry_rows(), weights=rows.data ** 2, minlength=len(y)) + 1.0
         args = (rows, y, qii, c, tol, max_iters, 6)
-        w, b, history = classifier._compiled_epochs(*args, np.random.default_rng(seed))
-        want = classifier._python_epochs(*args, np.random.default_rng(seed))
+        compiled_rng, python_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        w, b, history = classifier._compiled_epochs(*args, compiled_rng)
+        want = classifier._python_epochs(*args, python_rng)
         assert (w.tolist(), b, history) == (want[0].tolist(), want[1], want[2])
+        assert compiled_rng.bit_generator.state == python_rng.bit_generator.state
         assert 1 <= len(history) <= max_iters
 
 
