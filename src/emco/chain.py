@@ -9,6 +9,18 @@ starts and ends; rows for majority-only words fall back to the minority
 marginal word distribution. gamma=0 recovers plain Markov-chain oversampling
 confined to the minority vocabulary.
 
+A table differs between gammas only in its weights, and callers estimate
+each task at several gammas in a row. So ``estimate`` keeps what gamma does
+not change (the partition, the word index, the lengths and the pair counts)
+for the last task it saw, in one module-global ``(key, entry)`` pair that each
+call reads once. The key is the documents' contents, ``(tuple(map(tuple,
+minority)), tuple(map(tuple, majority)))``, compared after the documents are
+checked, and the entry is built from the key's tuples alone; so a hit is
+exact, a list changed in place since the last call is a new key, and a
+thread or a forked worker that finds another task's entry builds its own.
+Only one entry is held: a new task replaces the last. The majority pairs are
+counted the first time a gamma above 0 asks for them.
+
 Each corpus is mapped to state ids in one flat pass, and each adjacent pair
 (a, b) becomes the key ``a * (stop + 1) + b``. One sort of both corpora's
 keys orders them by source state, then target state, and gives each key's
@@ -81,6 +93,15 @@ class VocabPartition:
     ) -> "VocabPartition":
         check_documents(minority_docs, "minority document")
         check_documents(majority_docs, "majority document")
+        return cls._of_checked(minority_docs, majority_docs)
+
+    @classmethod
+    def _of_checked(
+        cls,
+        minority_docs: Sequence[Sequence[str]],
+        majority_docs: Sequence[Sequence[str]],
+    ) -> "VocabPartition":
+        """``from_corpora`` of documents that ``check_documents`` has passed."""
         v_min = set(itertools.chain.from_iterable(minority_docs))
         v_maj_only = set(itertools.chain.from_iterable(majority_docs)).difference(v_min)
         v_min, v_maj_only = sorted(v_min), sorted(v_maj_only)
@@ -311,21 +332,11 @@ def _pair_keys(docs: Sequence[Sequence[str]], index: dict) -> np.ndarray:
 
 
 def _pair_counts(
-    minority_docs: Sequence[Sequence[str]],
-    majority_docs: Sequence[Sequence[str]],
-    index: dict,
-    n_min: int,
+    minority: np.ndarray, majority: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted distinct pair keys, and each key's count m in the minority
-    documents and k in the majority documents. Each minority document opens
-    and closes with the stop state, so the stop row counts the opening words
-    and each word occurrence starts one pair; a majority pair counts from a
-    minority word to a word."""
-    width = len(index)
-    stop = width - 1
-    minority = _pair_keys(minority_docs, index)
-    majority = _pair_keys(majority_docs, index)
-    majority = majority[(majority < n_min * width) & (majority % width != stop)]
+    """The sorted distinct keys among the pair keys ``minority`` and
+    ``majority``, and each key's count m in ``minority`` and k in
+    ``majority``."""
     # the low bit of a tagged key marks a majority pair
     tagged, counts = np.unique(
         np.concatenate((minority << 1, majority << 1 | 1)), return_counts=True
@@ -336,58 +347,123 @@ def _pair_counts(
     return keys[first], np.add.reduceat(counts, first) - k, k
 
 
+@dataclass(frozen=True)
+class _Pairs:
+    """The pairs that a table keeps, self-transitions dropped: the table's
+    ``indptr`` and ``targets``, marginal row included, and each kept pair's
+    minority count m and majority count k. The arrays are read-only, since
+    the models of a task at gamma 0, or at gammas above 0, share one."""
+
+    indptr: np.ndarray
+    targets: np.ndarray
+    m: np.ndarray
+    k: np.ndarray
+
+    def __post_init__(self):
+        for array_ in (self.indptr, self.targets, self.m, self.k):
+            array_.flags.writeable = False
+
+
+class _Task:
+    """What gamma does not change in one task's estimate: the partition, the
+    lengths, the minority marginal counts, and the pairs of the table at gamma
+    0 and at gammas above 0, each counted the first time a gamma asks for it,
+    so a gamma-0 call maps no majority document. Each minority document opens
+    and closes with the stop state, so the stop row counts the opening words
+    and each word occurrence starts one pair; a majority pair counts from a
+    minority word to a word."""
+
+    def __init__(self, minority_docs: tuple[tuple[str, ...], ...],
+                 majority_docs: tuple[tuple[str, ...], ...]):
+        part = self.partition = VocabPartition._of_checked(minority_docs, majority_docs)
+        self.lengths = tuple(map(len, minority_docs))
+        self._majority_docs = majority_docs
+        self._index = dict(zip((*part.words, None), range(part.stop_index + 1)))
+        self._minority = _pair_keys(minority_docs, self._index)
+        width, n_min = len(self._index), part.n_min
+        # a minority word's count is the number of minority pairs it starts
+        self.marginal = np.bincount(self._minority // width, minlength=width)[:n_min].astype(float)
+        self._at_zero = self._above_zero = None
+
+    def pairs(self, gamma: float) -> _Pairs:
+        """The pairs of the table at ``gamma``, counted at the first call that
+        needs them."""
+        if gamma > 0:
+            if self._above_zero is None:
+                width, stop = len(self._index), self.partition.stop_index
+                majority = _pair_keys(self._majority_docs, self._index)
+                from_minority = majority < self.partition.n_min * width
+                self._above_zero = self._pairs(majority[from_minority & (majority % width != stop)])
+            return self._above_zero
+        if self._at_zero is None:
+            self._at_zero = self._pairs(self._minority[:0])
+        return self._at_zero
+
+    def _pairs(self, majority: np.ndarray) -> _Pairs:
+        width, n_min = len(self._index), self.partition.n_min
+        keys, m, k = _pair_counts(self._minority, majority)
+        sources, targets = np.divmod(keys, width)
+        kept = sources != targets  # self-transitions are zeroed
+        # the keys are sorted, so each state's row is one slice of the kept
+        # pairs; the marginal row follows the stop state's
+        indptr = np.searchsorted(sources[kept], np.arange(width + 1))
+        return _Pairs(
+            np.append(indptr, indptr[-1] + n_min).astype(np.intp),
+            np.concatenate((targets[kept], np.arange(n_min))).astype(np.intp),
+            m[kept],
+            k[kept],
+        )
+
+
+# the last task estimated, as one (key, _Task) pair: see the module docstring
+_memo: tuple = (None, None)
+
+
 def estimate(
     minority_docs: Sequence[Sequence[str]],
     majority_docs: Sequence[Sequence[str]],
     gamma: float,
 ) -> TransitionModel:
     """Estimate the transition weight table for one oversampling task."""
+    global _memo
     if not minority_docs:
         raise ValueError("minority document set is empty")
-    part = VocabPartition.from_corpora(minority_docs, majority_docs)  # checks the documents
+    check_documents(minority_docs, "minority document")
+    check_documents(majority_docs, "majority document")
     if not all(minority_docs):
         raise ValueError("minority documents must be nonempty")
     check_real(gamma, "gamma", ge=0)
-    n_min, stop = part.n_min, part.stop_index
-    width = stop + 1
-    index = dict(zip((*part.words, None), range(width)))
-
-    keys, m, k = _pair_counts(minority_docs, majority_docs if gamma > 0 else [], index, n_min)
-    sources, targets = np.divmod(keys, width)
-    # a minority word's count is the number of minority pairs it starts
-    marginal = np.bincount(sources, weights=m, minlength=width)[:n_min]
+    key = (tuple(map(tuple, minority_docs)), tuple(map(tuple, majority_docs)))
+    last, task = _memo  # read once: another thread may replace it
+    if key != last:
+        task = _Task(*key)
+        _memo = key, task
+    pairs, part = task.pairs(gamma), task.partition
 
     # m, then gamma added k times, left to right, as a loop over the majority
     # pairs adds it: m + k * gamma would round differently
-    weights = m.astype(float)
-    grow = np.flatnonzero(k)
+    weights = pairs.m.astype(float)
+    grow = np.flatnonzero(pairs.k)
     with np.errstate(over="ignore"):  # an infinite row is refused below
-        for j in range(k.max()):
-            grow = grow[k[grow] > j]
+        for j in range(pairs.k.max()):
+            grow = grow[pairs.k[grow] > j]
             weights[grow] += gamma
-    kept = sources != targets  # self-transitions are zeroed
-    # the keys are sorted, so each state's row is one slice of the kept pairs;
-    # the marginal row follows the stop state's
-    indptr = np.searchsorted(sources[kept], np.arange(width + 1))
-    table = _Table(
-        np.append(indptr, indptr[-1] + n_min).astype(np.intp),
-        np.concatenate((targets[kept], np.arange(n_min))).astype(np.intp),
-        np.concatenate((weights[kept], marginal)),
-    )
-    infinite = np.flatnonzero(~np.isfinite(table.total[:n_min]))
+    table = _Table(pairs.indptr, pairs.targets, np.concatenate((weights, task.marginal)))
+    infinite = np.flatnonzero(~np.isfinite(table.total[: part.n_min]))
     if len(infinite):
         raise ValueError(
             f"gamma {gamma} overflows the transition weights of word "
             f"{part.words[infinite[0]]!r} to infinity"
         )
 
+    stop = part.stop_index
     return TransitionModel(
         partition=part,
         gamma=gamma,
-        lengths=tuple(map(len, minority_docs)),
-        min_rows=_TableRows(table, n_min),
+        lengths=task.lengths,
+        min_rows=_TableRows(table, part.n_min),
         stop_row=table.row(stop),
-        marginal_row=table.row(width),
+        marginal_row=table.row(stop + 1),
     )
 
 

@@ -1,7 +1,11 @@
+import gc
 import hashlib
 import itertools
 import json
 import pickle
+import sys
+import threading
+import weakref
 from array import array
 from collections import Counter
 
@@ -389,6 +393,149 @@ def test_gamma_is_added_once_per_majority_pair():
     assert w(model, "a", "b") == 1.0 + 0.1 + 0.1 == 1.2000000000000002
     assert 1.0 + 2 * 0.1 == 1.2  # which a product would have stored
     assert w(model, "b", "a") == 0.1
+
+
+def table_bytes(model):
+    """Every array of a model's table, its lengths, partition, stop row and
+    marginal row, as bytes where they are floats."""
+    table = model._table
+    arrays = (table.indptr, table.targets, table.weights, table.cumsum, table.total,
+              table.sampling)
+
+    def row(r):
+        return r.targets, r.weight_values.tobytes(), r.cumsum.tobytes(), r.total
+
+    return ([(a.dtype.str, a.tobytes()) for a in arrays], model.lengths, model.partition,
+            row(model.stop_row), row(model.marginal_row))
+
+
+def as_given(docs, as_tuples):
+    return tuple(map(tuple, docs)) if as_tuples else [list(doc) for doc in docs]
+
+
+TASK_DOCS = st.tuples(
+    st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=10),
+             min_size=1, max_size=6),
+    st.lists(st.lists(st.sampled_from("defghij"), min_size=1, max_size=10), max_size=6),
+)
+
+
+class TestTaskMemo:
+    """``estimate`` keeps the gamma-free part of the last task it saw; every
+    model must still be the model the two-pass reference builds. This class
+    runs on the compiled path where the kernel loads, and its subclass on the
+    Python path."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(chain, "_memo", (None, None))
+
+    @given(
+        st.lists(TASK_DOCS, min_size=1, max_size=2),
+        st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+                           st.booleans()), min_size=1, max_size=8),
+    )
+    @example([([["a", "b"], ["b", "a"]], [["b", "c", "a"]])],
+             [(0, 1.0, False), (0, 0.0, True), (0, 1.0, True), (0, 0.0, False)])
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.differing_executors])
+    def test_models_equal_the_reference_across_gammas_and_tasks(self, tasks, calls):
+        for which, gamma, as_tuples in calls:
+            minority, majority = tasks[which % len(tasks)]
+            got = chain.estimate(as_given(minority, as_tuples), as_given(majority, as_tuples),
+                                 gamma)
+            assert table_bytes(got) == table_bytes(reference_estimate(minority, majority, gamma))
+
+    def test_a_task_is_counted_once_across_its_gammas(self, monkeypatch):
+        mapped = []
+        pair_keys = chain._pair_keys
+        monkeypatch.setattr(chain, "_pair_keys",
+                            lambda docs, index: mapped.append(len(docs)) or pair_keys(docs, index))
+        minority, majority = [["a", "b"], ["b", "a"]], [["b", "c", "a"], ["c"]]
+        chain.estimate(minority, majority, 0.0)
+        assert mapped == [2]  # gamma 0 maps no majority document
+        for gamma in (1.0, 0.0, 0.1, 1.0):
+            chain.estimate(minority, tuple(majority), gamma)
+        assert mapped == [2, 2]
+
+    def test_a_list_changed_in_place_is_a_new_task(self):
+        minority, majority = [["a", "b"], ["b", "a"]], [["b", "c", "a"]]
+        chain.estimate(minority, majority, 1.0)
+        majority[0].append("d")
+        minority[1][0] = "c"
+        got = chain.estimate(minority, majority, 1.0)
+        assert table_bytes(got) == table_bytes(reference_estimate(minority, majority, 1.0))
+        assert got.partition.words == ("a", "b", "c", "d")
+        # the majority pairs, counted at the first gamma above 0, are those
+        # of the documents as they were when the task was first seen
+        minority, majority = [["p", "q"]], [["q", "r", "p"]]
+        chain.estimate(minority, majority, 0.0)
+        before = [list(doc) for doc in majority]
+        majority[0][1] = "s"
+        got = chain.estimate(minority, before, 1.0)
+        assert table_bytes(got) == table_bytes(reference_estimate(minority, before, 1.0))
+
+    @pytest.mark.parametrize("minority, majority, message", [
+        # "ab" reads as the document ("a", "b") once made a tuple
+        (["ab", ["b", "a"]], [["b", "c", "a"]],
+         "minority document must be a list of tokens, got str"),
+        ([["a", "b"], ["b", "a"]], ["bca"], "majority document must be a list of tokens, got str"),
+        ([["a", "b"], ["b", "a"]], [["b", "c", "a"], ["b", 1]], "word must be a string, got int"),
+        ([["a", "b"], []], [["b", "c", "a"]], "minority documents must be nonempty"),
+    ])
+    def test_a_bad_document_beside_the_memo_key_is_refused(self, minority, majority, message):
+        chain.estimate([["a", "b"], ["b", "a"]], [["b", "c", "a"]], 1.0)
+        chain.estimate([["a", "b"], ["b", "a"]], [list("bca")], 1.0)  # a hit
+        with pytest.raises(ValueError) as exc:
+            chain.estimate(minority, majority, 1.0)
+        assert str(exc.value) == message
+
+    def test_threads_alternating_two_tasks_get_the_single_threaded_tables(self, mini_docs):
+        tasks = evaluable_tasks(mini_docs)[:2]
+        gammas = (0.0, 1.0, 0.1)
+        want = {(t, g): table_bytes(chain.estimate(*tasks[t], g))
+                for t in range(2) for g in gammas}
+        got, errors = [], []
+
+        def work(first):
+            try:
+                for i in range(12):
+                    t = (first + i) % 2
+                    for g in gammas:
+                        got.append(((t, g), table_bytes(chain.estimate(*tasks[t], g))))
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(first,)) for first in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(got) == 2 * 12 * len(gammas)
+        for case, tables in got:
+            assert tables == want[case], case
+
+    def test_the_memo_holds_the_last_task_only(self):
+        first = chain.estimate([["a", "b"]], [["b", "c"]], 1.0)
+        entry = weakref.ref(chain._memo[1])
+        second = ([["x", "y"], ["y"]], [["y", "z"]])
+        chain.estimate(*second, 0.0)
+        gc.collect()
+        assert entry() is None
+        assert chain._memo[0] == tuple(tuple(map(tuple, docs)) for docs in second)
+        assert chain._memo[1].partition == chain.VocabPartition(("x", "y", "z"), 2)
+        assert first.partition.words == ("a", "b", "c")  # a model keeps what it read
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestTaskMemoOnPythonPath(TestTaskMemo):
+    pass
 
 
 MINORITY_DOCS = st.lists(
